@@ -441,22 +441,15 @@ int cmd_serve(const Args& args) {
   // Fleet model sharing: the loaded model becomes the "default" template
   // so every tenant — boot-time --tenants and add_tenant control verbs
   // with {"template": "default"} — reads one skeleton and base CPT
-  // payload through a per-tenant copy-on-write delta.
-  // --share-templates 0 is the escape hatch: every instantiation is a
-  // full private copy (alarms are bit-identical either way). The
-  // registry outlives the service (declared first, destroyed last).
+  // payload through a per-tenant copy-on-write delta. The registry
+  // outlives the service (declared first, destroyed last).
   serve::TemplateRegistry templates;
   config.templates = &templates;
-  config.share_templates = args.get_u64("share-templates", 1) != 0;
   const double threshold = args.get_double("threshold", 0.99);
   const double laplace = args.get_double("laplace", 0.1);
   const auto default_template = templates.publish(
       "default", graph.value(), threshold, laplace, /*version=*/1);
-  auto snapshot =
-      config.share_templates
-          ? serve::instantiate(*default_template)
-          : serve::make_snapshot(std::move(graph).value(), threshold,
-                                 laplace, /*version=*/1);
+  auto snapshot = serve::instantiate(*default_template);
 
   // Alarms stream out as provenance-enriched JSONL; stdout is shared by
   // worker threads and the metrics streamer.
@@ -875,10 +868,6 @@ void usage() {
       "           [--root-cause-depth D (alarm attribution walk depth;"
       " default 3)] [--root-cause-history K (recent attributions kept per"
       " tenant for /rootcausez; default 8)]\n"
-      "           [--share-templates 0|1 (default 1: tenants share the"
-      " model skeleton + base CPTs copy-on-write; 0 deep-copies per"
-      " tenant. Alarms are bit-identical either way; dedup shows in"
-      " serve_model_* gauges and /statusz \"models\")]\n"
       "  eval     [--profile P] [--days N (train-sim days; default 14)]"
       " [--test-days N (held-out days; default 10)] [--chains N (injected"
       " chains per case; default 200)] [--kmax K] [--seed N]\n"

@@ -1,15 +1,16 @@
 // Fleet-scale model residency benchmarks (google-benchmark): what one
 // deployment pays in model bytes to host N tenants instantiated from a
-// single published template, shared (interned skeleton + COW deltas)
-// versus private (a full InteractionGraph copy per tenant), and what —
-// if anything — the sharing costs in events/sec on the hot path.
+// single published template (interned skeleton + COW deltas), and the
+// events/sec such a fleet serves on the hot path.
 //
 // The headline counters the perf trajectory tracks:
-//   BM_FleetResidency  resident_bytes, dedup_ratio (shared must be
-//                      >= 5x smaller than private at 10k tenants),
-//                      accounting_exact (service byte accounting equals
-//                      the closed-form skeleton + base + N*delta sum)
-//   BM_FleetThroughput events/s shared vs private (within 5%)
+//   BM_FleetResidency  resident_bytes, dedup_ratio (the service's
+//                      private_equivalent_bytes — one full model per
+//                      tenant — over resident_bytes; must be >= 5x at
+//                      10k tenants), accounting_exact (service byte
+//                      accounting equals the closed-form skeleton + base
+//                      + N*delta sum)
+//   BM_FleetThroughput events/s over a 64-tenant template fleet
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -70,8 +71,8 @@ const FleetFixture& fixture() {
   return data;
 }
 
-// Builds a service hosting `fleet` tenants off one published template,
-// shared or private per `share`. Registry must outlive the service.
+// Builds a service hosting `fleet` tenants off one published template.
+// Registry must outlive the service.
 serve::TenantHandle add_fleet(serve::DetectionService& service,
                               std::size_t fleet) {
   const FleetFixture& data = fixture();
@@ -90,8 +91,7 @@ serve::TenantHandle add_fleet(serve::DetectionService& service,
 // fleet instantiation (template find + snapshot + accounting), so the
 // per-tenant setup cost is visible too.
 void BM_FleetResidency(benchmark::State& bench_state) {
-  const bool share = bench_state.range(0) != 0;
-  const auto fleet = static_cast<std::size_t>(bench_state.range(1));
+  const auto fleet = static_cast<std::size_t>(bench_state.range(0));
   const FleetFixture& data = fixture();
 
   serve::DetectionService::ModelStats stats;
@@ -104,25 +104,22 @@ void BM_FleetResidency(benchmark::State& bench_state) {
     serve::ServiceConfig config;
     config.shard_count = 4;
     config.templates = &registry;
-    config.share_templates = share;
     serve::DetectionService service(config, nullptr);
     add_fleet(service, fleet);
     stats = service.model_stats();
     benchmark::DoNotOptimize(stats.resident_bytes);
 
-    // Conservation identity: the service's running byte total must equal
-    // one instantiated graph's footprint split scaled to the fleet.
-    const auto one = share ? serve::instantiate(*tpl)
-                           : serve::instantiate_private(*tpl);
-    const graph::MemoryFootprint foot = graph::memory_footprint(one->graph);
-    const std::size_t expected =
-        share ? foot.skeleton_bytes + foot.base_cpt_bytes +
-                    fleet * foot.delta_cpt_bytes
-              : fleet * foot.total_bytes();
-    accounting_exact = accounting_exact && stats.resident_bytes == expected;
+    // Conservation identity: the service's running byte totals must
+    // equal one instantiated graph's footprint split scaled to the fleet.
+    const graph::MemoryFootprint foot =
+        graph::memory_footprint(serve::instantiate(*tpl)->graph);
+    accounting_exact =
+        accounting_exact &&
+        stats.resident_bytes == foot.skeleton_bytes + foot.base_cpt_bytes +
+                                    fleet * foot.delta_cpt_bytes &&
+        stats.private_equivalent_bytes == fleet * foot.total_bytes();
   }
   bench_state.counters["fleet"] = static_cast<double>(fleet);
-  bench_state.counters["shared"] = share ? 1.0 : 0.0;
   bench_state.counters["resident_bytes"] =
       static_cast<double>(stats.resident_bytes);
   bench_state.counters["private_equivalent_bytes"] =
@@ -135,17 +132,15 @@ void BM_FleetResidency(benchmark::State& bench_state) {
   bench_state.counters["accounting_exact"] = accounting_exact ? 1.0 : 0.0;
 }
 BENCHMARK(BM_FleetResidency)
-    ->Args({0, 10000})
-    ->Args({1, 10000})
+    ->Arg(10000)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Throughput: the detection hot path must not pay for sharing — the
-// COW delta lookup is one pointer test per cpt() call. Round-robin the
-// event stream over a modest fleet so every shard touches shared state.
+// Throughput: the COW delta lookup is one pointer test per cpt() call.
+// Round-robin the event stream over a modest fleet so every shard
+// touches shared state.
 void BM_FleetThroughput(benchmark::State& bench_state) {
-  const bool share = bench_state.range(0) != 0;
-  const auto fleet = static_cast<std::size_t>(bench_state.range(1));
+  const auto fleet = static_cast<std::size_t>(bench_state.range(0));
   const FleetFixture& data = fixture();
 
   std::uint64_t alarms = 0;
@@ -159,7 +154,6 @@ void BM_FleetThroughput(benchmark::State& bench_state) {
     config.shard_count = 4;
     config.queue_capacity = 8192;
     config.templates = &registry;
-    config.share_templates = share;
     serve::DetectionService service(config, nullptr);
     std::vector<serve::TenantHandle> handles;
     handles.reserve(fleet);
@@ -180,12 +174,10 @@ void BM_FleetThroughput(benchmark::State& bench_state) {
   bench_state.SetItemsProcessed(static_cast<std::int64_t>(
       bench_state.iterations() * data.events.size()));
   bench_state.counters["fleet"] = static_cast<double>(fleet);
-  bench_state.counters["shared"] = share ? 1.0 : 0.0;
   bench_state.counters["alarms"] = static_cast<double>(alarms);
 }
 BENCHMARK(BM_FleetThroughput)
-    ->Args({0, 64})
-    ->Args({1, 64})
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

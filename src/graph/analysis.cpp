@@ -75,34 +75,18 @@ GraphDiff diff(const InteractionGraph& before, const InteractionGraph& after) {
 
 MemoryFootprint memory_footprint(const InteractionGraph& graph) {
   MemoryFootprint footprint;
-  footprint.shared = graph.is_shared();
-  if (footprint.shared) {
-    footprint.skeleton_bytes = graph.skeleton()->approx_bytes();
-    for (const Cpt& cpt : *graph.base()) {
-      footprint.base_cpt_bytes += cpt.approx_bytes();
-    }
-    // The delta's fixed cost is its slot vector (one pointer per
-    // device); each personalized child adds its full table copy.
-    footprint.delta_cpt_bytes =
-        graph.device_count() * sizeof(std::unique_ptr<Cpt>);
-    for (telemetry::DeviceId child = 0; child < graph.device_count();
-         ++child) {
-      if (const Cpt* overridden = graph.delta_cpt(child)) {
-        footprint.delta_cpt_bytes += overridden->approx_bytes();
-      }
-    }
-    return footprint;
+  footprint.skeleton_bytes = graph.skeleton()->approx_bytes();
+  for (const Cpt& cpt : *graph.base()) {
+    footprint.base_cpt_bytes += cpt.approx_bytes();
   }
-  // Private mode: the per-child Cpt owns both the structure (its cause
-  // vector) and the counts; split them so the skeleton-vs-CPT accounting
-  // is comparable across modes.
-  for (telemetry::DeviceId child = 0; child < graph.device_count();
-       ++child) {
-    const Cpt& cpt = graph.cpt(child);
-    const std::size_t structure =
-        sizeof(Cpt) + cpt.causes().capacity() * sizeof(LaggedNode);
-    footprint.skeleton_bytes += structure;
-    footprint.base_cpt_bytes += cpt.approx_bytes() - structure;
+  // The delta's fixed cost is its slot vector (one pointer per device);
+  // each personalized child adds its full table copy.
+  footprint.delta_cpt_bytes =
+      graph.device_count() * sizeof(std::unique_ptr<Cpt>);
+  for (telemetry::DeviceId child = 0; child < graph.device_count(); ++child) {
+    if (const Cpt* overridden = graph.delta_cpt(child)) {
+      footprint.delta_cpt_bytes += overridden->approx_bytes();
+    }
   }
   return footprint;
 }

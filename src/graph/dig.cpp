@@ -8,17 +8,34 @@
 
 namespace causaliot::graph {
 
-InteractionGraph::InteractionGraph(std::size_t device_count,
-                                   std::size_t max_lag)
-    : max_lag_(max_lag), dense_(device_count) {
+namespace {
+
+// The structure of `device_count` devices with no causes yet.
+SkeletonRef empty_skeleton(std::size_t device_count, std::size_t max_lag) {
   CAUSALIOT_CHECK_MSG(max_lag >= 1, "max_lag must be >= 1");
+  return std::make_shared<const Skeleton>(
+      max_lag, std::vector<std::vector<LaggedNode>>(device_count));
 }
 
+}  // namespace
+
+InteractionGraph::InteractionGraph(SkeletonRef skeleton, CptPayloadRef base)
+    : skeleton_(std::move(skeleton)),
+      base_(std::move(base)),
+      delta_(skeleton_->device_count()) {}
+
+InteractionGraph::InteractionGraph()
+    : InteractionGraph(std::make_shared<const Skeleton>(
+                           0, std::vector<std::vector<LaggedNode>>()),
+                       std::make_shared<const CptPayload>()) {}
+
+InteractionGraph::InteractionGraph(std::size_t device_count,
+                                   std::size_t max_lag)
+    : InteractionGraph(empty_skeleton(device_count, max_lag),
+                       std::make_shared<const CptPayload>(device_count)) {}
+
 InteractionGraph::InteractionGraph(const InteractionGraph& other)
-    : max_lag_(other.max_lag_),
-      dense_(other.dense_),
-      skeleton_(other.skeleton_),
-      base_(other.base_) {
+    : skeleton_(other.skeleton_), base_(other.base_) {
   // The skeleton and base stay shared (copying a tenant's graph is the
   // cheap personalization path); only the delta is deep-copied.
   delta_.resize(other.delta_.size());
@@ -46,59 +63,43 @@ InteractionGraph InteractionGraph::from_template(SkeletonRef skeleton,
     CAUSALIOT_CHECK_MSG((*base)[child].causes() == skeleton->causes(child),
                         "base CPT layout disagrees with skeleton");
   }
-  InteractionGraph graph;
-  graph.skeleton_ = std::move(skeleton);
-  graph.base_ = std::move(base);
-  graph.delta_.resize(graph.skeleton_->device_count());
-  return graph;
+  return InteractionGraph(std::move(skeleton), std::move(base));
 }
 
 void InteractionGraph::set_causes(telemetry::DeviceId child,
                                   std::vector<LaggedNode> causes) {
-  CAUSALIOT_CHECK_MSG(skeleton_ == nullptr,
-                      "cannot restructure a template-shared graph; "
-                      "clone_private() first");
-  CAUSALIOT_CHECK(child < dense_.size());
-  for (const LaggedNode& cause : causes) {
-    CAUSALIOT_CHECK_MSG(cause.device < dense_.size(),
-                        "cause device out of range");
-    CAUSALIOT_CHECK_MSG(cause.lag >= 1 && cause.lag <= max_lag_,
-                        "cause lag out of range");
-  }
+  CAUSALIOT_CHECK(child < device_count());
   std::sort(causes.begin(), causes.end());
-  CAUSALIOT_CHECK_MSG(
-      std::adjacent_find(causes.begin(), causes.end()) == causes.end(),
-      "duplicate cause");
-  dense_[child] = Cpt(std::move(causes));
+  // The new Skeleton validates device range, lag range and duplicates;
+  // the Cpt caps the cause count.
+  auto table = std::make_unique<Cpt>(causes);
+  std::vector<std::vector<LaggedNode>> structure;
+  structure.reserve(device_count());
+  for (telemetry::DeviceId c = 0; c < device_count(); ++c) {
+    structure.push_back(skeleton_->causes(c));
+  }
+  structure[child] = std::move(causes);
+  skeleton_ = std::make_shared<const Skeleton>(max_lag(), std::move(structure));
+  delta_[child] = std::move(table);
 }
 
 const std::vector<LaggedNode>& InteractionGraph::causes(
     telemetry::DeviceId child) const {
-  if (skeleton_ != nullptr) return skeleton_->causes(child);
-  CAUSALIOT_CHECK(child < dense_.size());
-  return dense_[child].causes();
+  return skeleton_->causes(child);
 }
 
 const Cpt& InteractionGraph::cpt(telemetry::DeviceId child) const {
-  if (skeleton_ != nullptr) {
-    CAUSALIOT_CHECK(child < delta_.size());
-    const Cpt* overridden = delta_[child].get();
-    return overridden != nullptr ? *overridden : (*base_)[child];
-  }
-  CAUSALIOT_CHECK(child < dense_.size());
-  return dense_[child];
+  CAUSALIOT_CHECK(child < delta_.size());
+  const Cpt* overridden = delta_[child].get();
+  return overridden != nullptr ? *overridden : (*base_)[child];
 }
 
 Cpt& InteractionGraph::cpt(telemetry::DeviceId child) {
-  if (skeleton_ != nullptr) {
-    CAUSALIOT_CHECK(child < delta_.size());
-    if (delta_[child] == nullptr) {
-      delta_[child] = std::make_unique<Cpt>((*base_)[child]);
-    }
-    return *delta_[child];
+  CAUSALIOT_CHECK(child < delta_.size());
+  if (delta_[child] == nullptr) {
+    delta_[child] = std::make_unique<Cpt>((*base_)[child]);
   }
-  CAUSALIOT_CHECK(child < dense_.size());
-  return dense_[child];
+  return *delta_[child];
 }
 
 std::vector<Edge> InteractionGraph::edges() const {
@@ -112,10 +113,7 @@ std::vector<Edge> InteractionGraph::edges() const {
 }
 
 std::size_t InteractionGraph::edge_count() const {
-  if (skeleton_ != nullptr) return skeleton_->edge_count();
-  std::size_t count = 0;
-  for (const Cpt& cpt : dense_) count += cpt.cause_count();
-  return count;
+  return skeleton_->edge_count();
 }
 
 bool InteractionGraph::has_edge(telemetry::DeviceId cause_device,
@@ -154,17 +152,8 @@ std::size_t InteractionGraph::delta_count() const {
 }
 
 const Cpt* InteractionGraph::delta_cpt(telemetry::DeviceId child) const {
-  if (skeleton_ == nullptr) return nullptr;
   CAUSALIOT_CHECK(child < delta_.size());
   return delta_[child].get();
-}
-
-SkeletonRef InteractionGraph::freeze_skeleton() const {
-  if (skeleton_ != nullptr) return skeleton_;
-  std::vector<std::vector<LaggedNode>> all_causes;
-  all_causes.reserve(dense_.size());
-  for (const Cpt& cpt : dense_) all_causes.push_back(cpt.causes());
-  return std::make_shared<const Skeleton>(max_lag_, std::move(all_causes));
 }
 
 CptPayloadRef InteractionGraph::freeze_cpts() const {
@@ -174,15 +163,6 @@ CptPayloadRef InteractionGraph::freeze_cpts() const {
     payload->push_back(cpt(child));
   }
   return payload;
-}
-
-InteractionGraph InteractionGraph::clone_private() const {
-  if (skeleton_ == nullptr) return *this;
-  InteractionGraph out(device_count(), max_lag());
-  for (telemetry::DeviceId child = 0; child < device_count(); ++child) {
-    out.dense_[child] = cpt(child);
-  }
-  return out;
 }
 
 std::string InteractionGraph::to_dot(
@@ -237,13 +217,22 @@ util::Result<InteractionGraph> InteractionGraph::load(
       version != "v1") {
     return util::Error::parse_error("bad DIG header in " + path);
   }
-  InteractionGraph graph(device_count, max_lag);
+  if (max_lag < 1) return util::Error::parse_error("DIG max_lag must be >= 1");
+  // Records are read in child order and grow the tables one at a time,
+  // so a header that overstates device_count fails at the first missing
+  // record instead of allocating for it.
+  std::vector<std::vector<LaggedNode>> structure;
+  auto tables = std::make_shared<CptPayload>();
   for (std::size_t i = 0; i < device_count; ++i) {
     std::size_t child = 0;
     std::size_t cause_count = 0;
     if (!(in >> tag >> child >> cause_count) || tag != "child" ||
-        child >= device_count) {
+        child != i) {
       return util::Error::parse_error("bad child record");
+    }
+    if (cause_count > 64) {  // Cpt::pack keys fit one uint64_t
+      return util::Error::parse_error("too many causes for child " +
+                                      std::to_string(child));
     }
     std::vector<LaggedNode> causes;
     for (std::size_t c = 0; c < cause_count; ++c) {
@@ -251,10 +240,18 @@ util::Result<InteractionGraph> InteractionGraph::load(
       if (!(in >> tag >> node.device >> node.lag) || tag != "cause") {
         return util::Error::parse_error("bad cause record");
       }
+      if (node.device >= device_count || node.lag < 1 || node.lag > max_lag) {
+        return util::Error::parse_error("cause out of range for child " +
+                                        std::to_string(child));
+      }
       causes.push_back(node);
     }
-    graph.set_causes(static_cast<telemetry::DeviceId>(child),
-                     std::move(causes));
+    std::sort(causes.begin(), causes.end());
+    if (std::adjacent_find(causes.begin(), causes.end()) != causes.end()) {
+      return util::Error::parse_error("duplicate cause for child " +
+                                      std::to_string(child));
+    }
+    Cpt table(causes);
     std::size_t entry_count = 0;
     if (!(in >> tag >> entry_count) || tag != "entries") {
       return util::Error::parse_error("bad entries record");
@@ -263,14 +260,18 @@ util::Result<InteractionGraph> InteractionGraph::load(
       std::uint64_t key = 0;
       double count0 = 0.0;
       double count1 = 0.0;
-      if (!(in >> key >> count0 >> count1)) {
+      if (!(in >> key >> count0 >> count1) || !(count0 >= 0.0) ||
+          !(count1 >= 0.0)) {
         return util::Error::parse_error("bad CPT entry");
       }
-      graph.cpt(static_cast<telemetry::DeviceId>(child))
-          .set_counts(key, count0, count1);
+      table.set_counts(key, count0, count1);
     }
+    structure.push_back(std::move(causes));
+    tables->push_back(std::move(table));
   }
-  return graph;
+  return InteractionGraph(
+      std::make_shared<const Skeleton>(max_lag, std::move(structure)),
+      std::move(tables));
 }
 
 }  // namespace causaliot::graph

@@ -36,29 +36,22 @@ struct GraphSummary {
 GraphSummary summarize(const InteractionGraph& graph);
 
 /// Estimated resident bytes of one InteractionGraph, split along the
-/// sharing boundary. For a template-shared graph the skeleton and base
-/// are reference-held (shared == true): the graph uniquely owns only its
-/// delta, and N tenants of one template pay skeleton + base once.
+/// sharing boundary. The skeleton and base are reference-held: the graph
+/// uniquely owns only its delta, and N tenants of one template pay
+/// skeleton + base once.
 /// Estimates follow Cpt::approx_bytes / Skeleton::approx_bytes — they
 /// are compared against each other (dedup ratios, gauge deltas), never
 /// against an allocator's ground truth.
 struct MemoryFootprint {
-  /// Structure: cause lists (+ the Skeleton object in shared mode).
+  /// Structure: the Skeleton object and its cause lists.
   std::size_t skeleton_bytes = 0;
-  /// The base behaviour tables (shared payload, or the private tables).
+  /// The base behaviour tables.
   std::size_t base_cpt_bytes = 0;
   /// Copy-on-write overlay uniquely owned by this graph (slot vector +
-  /// personalized tables); always 0 for private graphs.
+  /// personalized tables).
   std::size_t delta_cpt_bytes = 0;
-  /// True when skeleton_bytes/base_cpt_bytes live behind shared refs.
-  bool shared = false;
 
-  /// Bytes this graph uniquely owns (a shared graph's marginal cost).
-  std::size_t unique_bytes() const {
-    return shared ? delta_cpt_bytes
-                  : skeleton_bytes + base_cpt_bytes + delta_cpt_bytes;
-  }
-  /// Full model bytes — what a private copy of this model would cost.
+  /// Full model bytes — what one unshared copy of this model costs.
   std::size_t total_bytes() const {
     return skeleton_bytes + base_cpt_bytes + delta_cpt_bytes;
   }

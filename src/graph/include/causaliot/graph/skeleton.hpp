@@ -7,10 +7,12 @@
 // values in canonical cause order) and the *behaviour* (the CPT counts).
 // Homes with identical device inventories share the former exactly and
 // differ only in the latter, so the structure is frozen into a Skeleton:
-// an immutable, content-hashed object that any number of tenants
-// reference through a SkeletonRef while carrying their own CPT payload
-// (a shared base plus a sparse copy-on-write delta — see
-// InteractionGraph::from_template).
+// an immutable, content-hashed object. Every InteractionGraph holds its
+// structure this way — a freshly built graph is the only owner of its
+// Skeleton, and set_causes installs a new one rather than editing it —
+// so any number of tenants can reference one Skeleton through a
+// SkeletonRef while carrying their own CPT payload (a shared base plus
+// a sparse copy-on-write delta — see graph/dig.hpp).
 //
 // The content hash is FNV-1a over (device_count, max_lag, per-child
 // cause lists in canonical order); serve::TemplateRegistry interns

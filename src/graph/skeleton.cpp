@@ -25,10 +25,14 @@ Skeleton::Skeleton(std::size_t max_lag,
     : max_lag_(max_lag), causes_(std::move(causes)) {
   CAUSALIOT_CHECK_MSG(causes_.empty() || max_lag_ >= 1,
                       "max_lag must be >= 1");
+  // Immutable from here on: drop any growth slack, so approx_bytes does
+  // not depend on how the caller built the lists.
+  causes_.shrink_to_fit();
   std::uint64_t hash = kFnvOffset;
   fnv_mix(hash, causes_.size());
   fnv_mix(hash, max_lag_);
-  for (const std::vector<LaggedNode>& child_causes : causes_) {
+  for (std::vector<LaggedNode>& child_causes : causes_) {
+    child_causes.shrink_to_fit();
     CAUSALIOT_CHECK_MSG(std::is_sorted(child_causes.begin(),
                                        child_causes.end()),
                         "skeleton causes must be canonical");

@@ -95,12 +95,6 @@ struct ServiceConfig {
   /// disables template lookup (by-name adds fail); when given it must
   /// outlive the service.
   TemplateRegistry* templates = nullptr;
-  /// When true (default), template-instantiated tenants share the
-  /// template's skeleton and base CPT payload through copy-on-write
-  /// deltas; false deep-copies every instantiation — the escape hatch
-  /// behind `serve --share-templates 0`, and the baseline side of
-  /// bench_fleet_memory. Alarms are bit-identical either way.
-  bool share_templates = true;
 };
 
 /// Opaque tenant identifier returned by add_tenant.
@@ -148,8 +142,8 @@ class DetectionService {
                           std::shared_ptr<const ModelSnapshot> model,
                           std::vector<std::uint8_t> initial_state);
 
-  /// Registers a home from a named template in config.templates
-  /// (structure-shared under share_templates, deep-copied otherwise).
+  /// Registers a home from a named template in config.templates; it
+  /// shares the template's skeleton and base through a COW delta.
   /// An empty `initial_state` defaults to all-zeros of the template's
   /// device count. kInvalidTenant when no registry is configured, the
   /// template is unknown, or the snapshot overload would refuse.
@@ -246,7 +240,8 @@ class DetectionService {
   /// skeletons, base CPT payloads, and per-snapshot deltas are keyed by
   /// pointer identity, so N tenants of one template pay the skeleton and
   /// base a single time. private_equivalent_bytes is what the same fleet
-  /// would cost with sharing off (every tenant's full footprint summed).
+  /// would cost with one unshared copy per tenant (every tenant's full
+  /// footprint summed).
   /// Both are publication-time estimates: a delta that grows later via
   /// update_cpts is re-measured at its next swap_model.
   struct ModelStats {

@@ -16,13 +16,12 @@
 // letting every tenant of it drain away) releases the skeleton as soon
 // as the last snapshot drops, which the 25-cycle churn suite pins.
 //
-// instantiate() builds the shared form a tenant actually serves from:
-// an InteractionGraph that reads the template's base tables through a
+// instantiate() builds what a tenant actually serves from: an
+// InteractionGraph that reads the template's base tables through a
 // sparse copy-on-write delta (update_cpts personalizes the delta, never
-// the base — see graph/dig.hpp), wrapped in a ModelSnapshot that
-// publishes through the existing ModelSlot unchanged.
-// instantiate_private() is the escape hatch (`serve --share-templates
-// 0`): a full deep copy with no shared state.
+// the base; set_causes gives the tenant its own skeleton — see
+// graph/dig.hpp), wrapped in a ModelSnapshot that publishes through the
+// existing ModelSlot unchanged.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +44,6 @@ struct ModelTemplate {
   double score_threshold = 1.0;
   double laplace_alpha = 0.0;
   std::uint64_t version = 0;
-
-  /// Full model bytes (skeleton + base payload) — what one private copy
-  /// costs, and the fleet pays once.
-  std::size_t approx_bytes() const;
 };
 
 /// A tenant-servable snapshot sharing the template's skeleton and base
@@ -58,11 +53,6 @@ struct ModelTemplate {
 std::shared_ptr<const ModelSnapshot> instantiate(
     const ModelTemplate& tpl);
 
-/// Deep-copied private snapshot (no shared state) — the sharing escape
-/// hatch, and the baseline side of bench_fleet_memory.
-std::shared_ptr<const ModelSnapshot> instantiate_private(
-    const ModelTemplate& tpl);
-
 class TemplateRegistry {
  public:
   TemplateRegistry() = default;
@@ -70,9 +60,9 @@ class TemplateRegistry {
   TemplateRegistry& operator=(const TemplateRegistry&) = delete;
 
   /// Freezes `graph` into a template registered under `name`, interning
-  /// its skeleton against every previously published one. A shared-mode
-  /// graph re-freezes cheaply (skeleton ref reused, effective tables
-  /// materialized once). Returns nullptr when the name is taken.
+  /// its skeleton against every previously published one (the graph's
+  /// skeleton ref is reused; its effective tables are materialized
+  /// once). Returns nullptr when the name is taken.
   std::shared_ptr<const ModelTemplate> publish(std::string name,
                                                const graph::InteractionGraph& graph,
                                                double score_threshold,
@@ -92,9 +82,6 @@ class TemplateRegistry {
   /// entries are swept on the way) — < template_count() when templates
   /// share an inventory.
   std::size_t skeleton_count() const;
-  /// Bytes of all registered templates' shared components, distinct
-  /// skeletons counted once.
-  std::size_t shared_bytes() const;
 
  private:
   graph::SkeletonRef intern_locked(graph::SkeletonRef skeleton);

@@ -108,9 +108,7 @@ TenantHandle DetectionService::add_tenant(
   if (initial_state.empty()) {
     initial_state.assign(tpl->skeleton->device_count(), 0);
   }
-  std::shared_ptr<const ModelSnapshot> snapshot =
-      config_.share_templates ? instantiate(*tpl) : instantiate_private(*tpl);
-  return add_tenant(std::move(name), std::move(snapshot),
+  return add_tenant(std::move(name), instantiate(*tpl),
                     std::move(initial_state));
 }
 
@@ -429,16 +427,12 @@ void DetectionService::account_model_locked(
       }
       account.components.push_back(key);
     };
-    if (footprint.shared) {
-      add_component(model->graph.skeleton().get(), footprint.skeleton_bytes);
-      add_component(model->graph.base().get(), footprint.base_cpt_bytes);
-      // The delta is per-graph, but tenants handed the same snapshot
-      // shared_ptr (the CLI boot path) literally share one graph object —
-      // keying the unique part by snapshot address bills it once too.
-      add_component(model.get(), footprint.delta_cpt_bytes);
-    } else {
-      add_component(model.get(), footprint.total_bytes());
-    }
+    add_component(model->graph.skeleton().get(), footprint.skeleton_bytes);
+    add_component(model->graph.base().get(), footprint.base_cpt_bytes);
+    // The delta is per-graph, but tenants handed the same snapshot
+    // shared_ptr (the CLI boot path) literally share one graph object —
+    // keying the unique part by snapshot address bills it once too.
+    add_component(model.get(), footprint.delta_cpt_bytes);
     model_equiv_bytes_.fetch_add(account.equiv_bytes,
                                  std::memory_order_relaxed);
   }
@@ -559,11 +553,9 @@ std::string DetectionService::status_json(std::size_t tenant_offset,
   const ModelStats models = model_stats();
   out += util::format(
       ", \"models\": {\"templates\": %zu, \"resident_bytes\": %zu, "
-      "\"private_equivalent_bytes\": %zu, \"dedup_ratio\": %.3f, "
-      "\"share_templates\": %s}",
+      "\"private_equivalent_bytes\": %zu, \"dedup_ratio\": %.3f}",
       models.templates, models.resident_bytes,
-      models.private_equivalent_bytes, models.dedup_ratio,
-      config_.share_templates ? "true" : "false");
+      models.private_equivalent_bytes, models.dedup_ratio);
   std::size_t live_total = 0;
   out += ", \"tenants\": " +
          health_.tenants_json(tenant_offset, tenant_limit, &live_total);

@@ -6,25 +6,9 @@
 
 namespace causaliot::serve {
 
-std::size_t ModelTemplate::approx_bytes() const {
-  std::size_t bytes = skeleton != nullptr ? skeleton->approx_bytes() : 0;
-  if (base_cpts != nullptr) {
-    for (const graph::Cpt& cpt : *base_cpts) bytes += cpt.approx_bytes();
-  }
-  return bytes;
-}
-
 std::shared_ptr<const ModelSnapshot> instantiate(const ModelTemplate& tpl) {
   return make_snapshot(
       graph::InteractionGraph::from_template(tpl.skeleton, tpl.base_cpts),
-      tpl.score_threshold, tpl.laplace_alpha, tpl.version);
-}
-
-std::shared_ptr<const ModelSnapshot> instantiate_private(
-    const ModelTemplate& tpl) {
-  return make_snapshot(
-      graph::InteractionGraph::from_template(tpl.skeleton, tpl.base_cpts)
-          .clone_private(),
       tpl.score_threshold, tpl.laplace_alpha, tpl.version);
 }
 
@@ -33,9 +17,9 @@ std::shared_ptr<const ModelTemplate> TemplateRegistry::publish(
     double score_threshold, double laplace_alpha, std::uint64_t version) {
   auto tpl = std::make_shared<ModelTemplate>();
   tpl->name = name;
-  // Freeze outside the lock: skeleton construction hashes the structure
-  // and freeze_cpts copies every table — publication-path work that must
-  // not serialize against find() from ingest transports.
+  // Freeze outside the lock: freeze_cpts copies every table —
+  // publication-path work that must not serialize against find() from
+  // ingest transports.
   graph::SkeletonRef skeleton = graph.freeze_skeleton();
   tpl->base_cpts = graph.freeze_cpts();
   tpl->score_threshold = score_threshold;
@@ -98,27 +82,6 @@ std::size_t TemplateRegistry::skeleton_count() const {
     live += bucket.size();
   }
   return live;
-}
-
-std::size_t TemplateRegistry::shared_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t bytes = 0;
-  std::vector<const graph::Skeleton*> counted;
-  for (const auto& [name, tpl] : by_name_) {
-    bytes += tpl->base_cpts != nullptr
-                 ? tpl->approx_bytes() -
-                       (tpl->skeleton != nullptr ? tpl->skeleton->approx_bytes()
-                                                 : 0)
-                 : 0;
-    const graph::Skeleton* skeleton = tpl->skeleton.get();
-    if (skeleton != nullptr &&
-        std::find(counted.begin(), counted.end(), skeleton) ==
-            counted.end()) {
-      counted.push_back(skeleton);
-      bytes += skeleton->approx_bytes();
-    }
-  }
-  return bytes;
 }
 
 }  // namespace causaliot::serve

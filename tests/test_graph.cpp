@@ -2,6 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "causaliot/graph/cpt.hpp"
 #include "causaliot/graph/dig.hpp"
@@ -147,6 +150,33 @@ TEST_F(GraphFileTest, SaveLoadRoundTrip) {
 TEST_F(GraphFileTest, LoadRejectsCorruptHeader) {
   std::ofstream(path_) << "not a dig file\n";
   EXPECT_FALSE(InteractionGraph::load(path_.string()).ok());
+}
+
+// Untrusted model files: each malformed input is a parse_error, never a
+// CHECK abort or an allocation sized by a lying header.
+TEST_F(GraphFileTest, LoadRejectsHostileRecords) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"zero max_lag", "dig v1 2 0\n"},
+      {"cause device out of range",
+       "dig v1 2 1\nchild 0 1\n  cause 5 1\n  entries 0\n"},
+      {"cause lag zero",
+       "dig v1 2 1\nchild 0 1\n  cause 1 0\n  entries 0\n"},
+      {"cause lag above max_lag",
+       "dig v1 2 1\nchild 0 1\n  cause 1 2\n  entries 0\n"},
+      {"duplicate cause",
+       "dig v1 2 1\nchild 0 2\n  cause 1 1\n  cause 1 1\n  entries 0\n"},
+      {"negative count",
+       "dig v1 1 1\nchild 0 0\n  entries 1\n    0 -1 2\n"},
+      {"more than 64 causes", "dig v1 2 1\nchild 0 65\n"},
+      {"huge device count", "dig v1 999999999999 1\n"},
+      {"child out of order", "dig v1 2 1\nchild 1 0\n  entries 0\n"},
+  };
+  for (const auto& [name, text] : cases) {
+    std::ofstream(path_, std::ios::trunc) << text;
+    const auto loaded = InteractionGraph::load(path_.string());
+    ASSERT_FALSE(loaded.ok()) << name;
+    EXPECT_EQ(loaded.error().code, util::ErrorCode::kParseError) << name;
+  }
 }
 
 TEST(InteractionGraph, LoadMissingFileFails) {

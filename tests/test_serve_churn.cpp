@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "causaliot/core/experiment.hpp"
+#include "causaliot/graph/analysis.hpp"
 #include "causaliot/net/line_server.hpp"
 #include "causaliot/serve/ingest.hpp"
 #include "causaliot/serve/service.hpp"
@@ -199,9 +200,21 @@ TEST_F(ChurnTest, SurvivorsUnperturbedAndNothingLost) {
   // live add/remove (the weak intern pool must drain on eviction). ---
   AlarmLog churn_log;
   TemplateRegistry registry;
-  auto fleet = registry.publish(
-      "fleet", experiment_->model.graph, experiment_->model.score_threshold,
-      experiment_->model.laplace_alpha, /*version=*/1);
+  // Publish a reloaded copy of the mined model: loading builds a
+  // skeleton of its own, so the template and the ephemerals are its only
+  // holders (the survivors share the fixture graph's skeleton) and the
+  // drain check at the end sees exactly their release.
+  std::shared_ptr<const ModelTemplate> fleet;
+  {
+    const std::string path = ::testing::TempDir() + "churn_fleet.dig";
+    ASSERT_TRUE(experiment_->model.graph.save(path).ok());
+    const auto reloaded = graph::InteractionGraph::load(path);
+    ASSERT_TRUE(reloaded.ok());
+    fleet = registry.publish("fleet", reloaded.value(),
+                             experiment_->model.score_threshold,
+                             experiment_->model.laplace_alpha,
+                             /*version=*/1);
+  }
   ASSERT_NE(fleet, nullptr);
   ServiceConfig churn_config = service_config();
   churn_config.templates = &registry;
@@ -299,15 +312,19 @@ TEST_F(ChurnTest, SurvivorsUnperturbedAndNothingLost) {
   EXPECT_EQ(router.accepted_total(), kCycles * kBurst);
 
   // Template plumbing reconciles too: every ephemeral's shared model
-  // bytes were released with its removal, leaving only the survivors'
-  // private snapshots (resident == equivalent again), and evicting the
-  // template drains the weak skeleton intern pool once the last
+  // bytes were released with its removal, leaving exactly the two
+  // survivors' snapshots (one skeleton + base, two deltas), and evicting
+  // the template drains the weak skeleton intern pool once the last
   // reference drops.
   EXPECT_EQ(registry.template_count(), 1u);
   EXPECT_EQ(registry.skeleton_count(), 1u);
+  const graph::MemoryFootprint survivor =
+      graph::memory_footprint(snapshot()->graph);
   const DetectionService::ModelStats models = service.model_stats();
-  EXPECT_EQ(models.resident_bytes, models.private_equivalent_bytes);
-  EXPECT_GT(models.resident_bytes, 0u);
+  EXPECT_EQ(models.resident_bytes, survivor.skeleton_bytes +
+                                       survivor.base_cpt_bytes +
+                                       2 * survivor.delta_cpt_bytes);
+  EXPECT_EQ(models.private_equivalent_bytes, 2 * survivor.total_bytes());
   EXPECT_TRUE(registry.evict("fleet"));
   fleet.reset();
   EXPECT_EQ(registry.skeleton_count(), 0u);

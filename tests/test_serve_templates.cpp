@@ -1,14 +1,16 @@
 // Fleet-scale model sharing: shared DIG skeletons + copy-on-write CPT
 // deltas must be a pure memory optimization. The bars:
 //
-//   * alarm streams (scores, root-cause rankings, everything) are
-//     bit-identical with template sharing on vs off, across every mined
-//     model variant (plain / PC-stable skeleton x G-square / CMH) and
-//     across a mid-stream hot model swap;
-//   * update_cpts on a shared graph personalizes only that graph's
-//     copy-on-write delta — concurrently updated siblings and the
-//     shared base stay untouched, and the effective tables match a
-//     private deep copy bit for bit;
+//   * alarm streams (scores, root-cause rankings, everything) of
+//     template-instantiated tenants are bit-identical to an oracle
+//     served straight from the mined graphs (never passed through the
+//     registry), across every mined model variant (plain / PC-stable
+//     skeleton x G-square / CMH) and across a mid-stream hot model swap;
+//   * update_cpts on an instantiated graph personalizes only that
+//     graph's copy-on-write delta — concurrently updated siblings and
+//     the shared base stay untouched, and the effective tables match the
+//     same update applied to the mined graph bit for bit; set_causes
+//     detaches only that graph's structure;
 //   * the TemplateRegistry interns skeletons by content (two templates
 //     of one inventory share one Skeleton object) and eviction actually
 //     frees: the weak intern pool drains once the last reference drops;
@@ -94,8 +96,8 @@ void wait_processed(const DetectionService& service, std::uint64_t target) {
   }
 }
 
-/// A tiny hand-built private model for the registry/accounting/paging
-/// tests (no simulation needed).
+/// A tiny hand-built model for the registry/accounting/paging tests (no
+/// simulation needed).
 graph::InteractionGraph small_graph(std::uint64_t salt = 0) {
   graph::InteractionGraph graph(4, 2);
   graph.set_causes(1, {{0, 1}, {1, 1}});
@@ -107,14 +109,15 @@ graph::InteractionGraph small_graph(std::uint64_t salt = 0) {
 }
 
 // ---------------------------------------------------------------------
-// Alarm equivalence: sharing on vs off, per mined-model variant, with a
-// mid-stream hot swap to a personalized (update_cpts) v2 model.
+// Alarm equivalence: template instances vs the mined graphs served
+// directly, per mined-model variant, with a mid-stream hot swap to a
+// personalized (update_cpts) v2 model.
 // ---------------------------------------------------------------------
 
 class TemplateAlarmEquivalence
     : public ::testing::TestWithParam<std::tuple<bool, mining::CiTest>> {};
 
-TEST_P(TemplateAlarmEquivalence, SharedMatchesPrivateAcrossHotSwap) {
+TEST_P(TemplateAlarmEquivalence, InstancesMatchMinedGraphAcrossHotSwap) {
   const auto [stable, ci_test] = GetParam();
   sim::HomeProfile profile = sim::contextact_profile();
   profile.days = 6.0;
@@ -147,18 +150,28 @@ TEST_P(TemplateAlarmEquivalence, SharedMatchesPrivateAcrossHotSwap) {
   // Same inventory, different tables: one interned skeleton.
   EXPECT_EQ(v1->skeleton.get(), v2->skeleton.get());
 
-  const auto run = [&](bool share) {
+  // The oracle side: each tenant gets its own snapshot of the mined
+  // graph, exactly as a caller without a registry would serve it.
+  const auto direct = [&](const graph::InteractionGraph& graph,
+                          std::uint64_t version) {
+    return make_snapshot(graph, model.score_threshold, model.laplace_alpha,
+                         version);
+  };
+  const auto run = [&](bool templated) {
     AlarmLog log;
     ServiceConfig service_config;
     service_config.shard_count = 2;
     service_config.queue_capacity = 256;
     service_config.session.k_max = 3;
     service_config.templates = &registry;
-    service_config.share_templates = share;
     DetectionService service(service_config, log.callback());
     std::vector<TenantHandle> handles;
-    handles.push_back(service.add_tenant("t0", "v1", initial_state));
-    handles.push_back(service.add_tenant("t1", "v1", initial_state));
+    for (const char* name : {"t0", "t1"}) {
+      handles.push_back(
+          templated ? service.add_tenant(name, "v1", initial_state)
+                    : service.add_tenant(name, direct(model.graph, 1),
+                                         initial_state));
+    }
     EXPECT_NE(handles[0], DetectionService::kInvalidTenant);
     EXPECT_NE(handles[1], DetectionService::kInvalidTenant);
     service.start();
@@ -179,7 +192,7 @@ TEST_P(TemplateAlarmEquivalence, SharedMatchesPrivateAcrossHotSwap) {
     const auto tpl = registry.find("v2");
     EXPECT_NE(tpl, nullptr);
     service.swap_model(handles[0],
-                       share ? instantiate(*tpl) : instantiate_private(*tpl));
+                       templated ? instantiate(*tpl) : direct(v2_graph, 2));
     for (std::size_t i = half; i < events.size(); ++i) {
       for (const TenantHandle handle : handles) {
         EXPECT_EQ(service.submit(handle, events[i]),
@@ -193,21 +206,22 @@ TEST_P(TemplateAlarmEquivalence, SharedMatchesPrivateAcrossHotSwap) {
     return std::make_tuple(std::move(log.by_tenant), mid_stats, end_stats);
   };
 
-  auto [shared_alarms, shared_mid, shared_end] = run(/*share=*/true);
-  auto [private_alarms, private_mid, private_end] = run(/*share=*/false);
+  auto [shared_alarms, shared_mid, shared_end] = run(/*templated=*/true);
+  auto [direct_alarms, direct_mid, direct_end] = run(/*templated=*/false);
 
-  ASSERT_FALSE(private_alarms["t0"].empty());  // the bar is meaningful
-  expect_bit_identical(shared_alarms["t0"], private_alarms["t0"]);
-  expect_bit_identical(shared_alarms["t1"], private_alarms["t1"]);
+  ASSERT_FALSE(direct_alarms["t0"].empty());  // the bar is meaningful
+  expect_bit_identical(shared_alarms["t0"], direct_alarms["t0"]);
+  expect_bit_identical(shared_alarms["t1"], direct_alarms["t1"]);
 
   // Sharing showed up in the accounting: two tenants of one template
   // approach 2x dedup; after the swap splits them across templates only
   // the skeleton dedups, but resident stays strictly below equivalent.
-  // Private mode pays full price per tenant throughout.
+  // Copies of a mined graph share its structure but each carries the
+  // tables in its own delta, so the oracle side stays near 1x.
   EXPECT_GT(shared_mid.dedup_ratio, 1.5);
   EXPECT_LT(shared_end.resident_bytes, shared_end.private_equivalent_bytes);
-  EXPECT_DOUBLE_EQ(private_mid.dedup_ratio, 1.0);
-  EXPECT_EQ(private_end.resident_bytes, private_end.private_equivalent_bytes);
+  EXPECT_LT(direct_mid.dedup_ratio, 1.5);
+  EXPECT_LE(direct_end.resident_bytes, direct_end.private_equivalent_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -267,15 +281,16 @@ TEST(TemplateCow, ConcurrentUpdateCptsIsolatesSiblingsAndBase) {
   EXPECT_EQ(tenant_a.delta_count(), tenant_a.device_count());
   EXPECT_EQ(tenant_b.delta_count(), tenant_b.device_count());
 
-  // Effective tables match a serial private deep copy bit for bit.
-  graph::InteractionGraph private_a = model.graph;
-  miner.update_cpts(experiment.test_series, private_a, 0.5);
-  graph::InteractionGraph private_b = model.graph;
-  miner.update_cpts(experiment.test_series, private_b, 0.9);
+  // Effective tables match a serial update of the mined graph bit for
+  // bit.
+  graph::InteractionGraph direct_a = model.graph;
+  miner.update_cpts(experiment.test_series, direct_a, 0.5);
+  graph::InteractionGraph direct_b = model.graph;
+  miner.update_cpts(experiment.test_series, direct_b, 0.9);
   EXPECT_EQ(saved_text(tenant_a, ::testing::TempDir() + "tenant_a.dig"),
-            saved_text(private_a, ::testing::TempDir() + "private_a.dig"));
+            saved_text(direct_a, ::testing::TempDir() + "direct_a.dig"));
   EXPECT_EQ(saved_text(tenant_b, ::testing::TempDir() + "tenant_b.dig"),
-            saved_text(private_b, ::testing::TempDir() + "private_b.dig"));
+            saved_text(direct_b, ::testing::TempDir() + "direct_b.dig"));
   // Different forget factors diverged — the deltas are really separate.
   EXPECT_NE(saved_text(tenant_a, ::testing::TempDir() + "tenant_a2.dig"),
             saved_text(tenant_b, ::testing::TempDir() + "tenant_b2.dig"));
@@ -286,6 +301,50 @@ TEST(TemplateCow, ConcurrentUpdateCptsIsolatesSiblingsAndBase) {
   EXPECT_EQ(untouched.delta_count(), 0u);
   EXPECT_EQ(saved_text(untouched, ::testing::TempDir() + "untouched.dig"),
             base_text);
+}
+
+TEST(TemplateCow, SetCausesDetachesOnlyThatGraphsStructure) {
+  TemplateRegistry registry;
+  const auto tpl = registry.publish("t", small_graph(), 0.9, 0.1, 1);
+  ASSERT_NE(tpl, nullptr);
+  const std::shared_ptr<const ModelSnapshot> sibling = instantiate(*tpl);
+  const std::string sibling_text =
+      saved_text(sibling->graph, ::testing::TempDir() + "sibling.dig");
+
+  graph::InteractionGraph detached =
+      graph::InteractionGraph::from_template(tpl->skeleton, tpl->base_cpts);
+  const graph::Skeleton* template_skeleton = detached.skeleton().get();
+  const graph::CptPayload* template_base = detached.base().get();
+  detached.set_causes(3, {{0, 2}, {2, 1}});
+  detached.cpt(3).observe(detached.cpt(3).pack({1, 0}), 1);
+
+  // The template's structure and base are the same objects, unedited;
+  // the detached graph got its own skeleton but still reads the base.
+  EXPECT_EQ(tpl->skeleton.get(), template_skeleton);
+  EXPECT_EQ(tpl->base_cpts.get(), template_base);
+  EXPECT_TRUE(tpl->skeleton->causes(3).empty());
+  EXPECT_TRUE((*tpl->base_cpts)[3].causes().empty());
+  EXPECT_NE(detached.skeleton().get(), template_skeleton);
+  EXPECT_EQ(detached.base().get(), template_base);
+  EXPECT_EQ(detached.delta_count(), 1u);
+  EXPECT_EQ(sibling->graph.skeleton().get(), template_skeleton);
+  EXPECT_EQ(saved_text(sibling->graph,
+                       ::testing::TempDir() + "sibling_after.dig"),
+            sibling_text);
+
+  // The detached graph saves its new causes (canonical order) and table,
+  // and the untouched children still read the template's tables.
+  const std::string path = ::testing::TempDir() + "detached.dig";
+  const std::string detached_text = saved_text(detached, path);
+  EXPECT_NE(detached_text.find("child 3 2\n  cause 2 1\n  cause 0 2\n"
+                               "  entries 1\n    1 0 1\n"),
+            std::string::npos);
+  const auto loaded = graph::InteractionGraph::load(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().causes(3),
+            (std::vector<graph::LaggedNode>{{2, 1}, {0, 2}}));
+  EXPECT_EQ(loaded.value().causes(1), tpl->skeleton->causes(1));
+  EXPECT_EQ(loaded.value().cpt(1).counts(), (*tpl->base_cpts)[1].counts());
 }
 
 // ---------------------------------------------------------------------
@@ -359,7 +418,6 @@ TEST(TemplateAccounting, ResidentBytesAreExactAndConserveUnderChurn) {
   // skeleton + base once and the (empty) delta per tenant.
   const graph::MemoryFootprint one =
       graph::memory_footprint(instantiate(*tpl)->graph);
-  ASSERT_TRUE(one.shared);
   const DetectionService::ModelStats stats = service.model_stats();
   EXPECT_EQ(stats.templates, 1u);
   EXPECT_EQ(stats.resident_bytes, one.skeleton_bytes + one.base_cpt_bytes +
@@ -392,16 +450,21 @@ TEST(TemplateAccounting, ResidentBytesAreExactAndConserveUnderChurn) {
   service.shutdown();
 }
 
-TEST(TemplateAccounting, SwapRebillsAndPrivateModeCountsFullCopies) {
+TEST(TemplateAccounting, SwapRebillsDirectSnapshotsToTemplateInstances) {
   TemplateRegistry registry;
   const auto tpl = registry.publish("t", small_graph(), 0.9, 0.1, 1);
+  ASSERT_NE(tpl, nullptr);
 
   ServiceConfig config;
   config.templates = &registry;
-  config.share_templates = false;  // escape hatch: deep copies
   DetectionService service(config, nullptr);
-  const TenantHandle t0 = service.add_tenant("a", "t");
-  const TenantHandle t1 = service.add_tenant("b", "t");
+  // Two tenants served from separately built graphs: no component in
+  // common, so each pays its full footprint.
+  const std::vector<std::uint8_t> zeros(4, 0);
+  const TenantHandle t0 =
+      service.add_tenant("a", make_snapshot(small_graph(), 0.9, 0.1, 1), zeros);
+  const TenantHandle t1 =
+      service.add_tenant("b", make_snapshot(small_graph(), 0.9, 0.1, 1), zeros);
   ASSERT_NE(t0, DetectionService::kInvalidTenant);
   ASSERT_NE(t1, DetectionService::kInvalidTenant);
 
@@ -409,12 +472,16 @@ TEST(TemplateAccounting, SwapRebillsAndPrivateModeCountsFullCopies) {
   EXPECT_EQ(before.resident_bytes, before.private_equivalent_bytes);
   EXPECT_DOUBLE_EQ(before.dedup_ratio, 1.0);
 
-  // Swapping both tenants to shared snapshots re-bills them as shared
+  // Swapping both tenants to template instances re-bills them as shared
   // components: two instantiations, one skeleton + base.
   service.swap_model(t0, instantiate(*tpl));
   service.swap_model(t1, instantiate(*tpl));
+  const graph::MemoryFootprint one =
+      graph::memory_footprint(instantiate(*tpl)->graph);
   const DetectionService::ModelStats after = service.model_stats();
-  EXPECT_LT(after.resident_bytes, after.private_equivalent_bytes);
+  EXPECT_EQ(after.resident_bytes, one.skeleton_bytes + one.base_cpt_bytes +
+                                      2 * one.delta_cpt_bytes);
+  EXPECT_EQ(after.private_equivalent_bytes, 2 * one.total_bytes());
   EXPECT_GT(after.dedup_ratio, 1.5);
   service.shutdown();
 }

@@ -126,10 +126,10 @@ ingestion_json="$(mktemp)"
   --benchmark_out="$ingestion_json" \
   --benchmark_out_format=json
 
-# Fleet-scale model dedup (shared skeleton + COW deltas vs private
-# copies): the residency and throughput numbers ride in the serving JSON
-# as a top-level "fleet" section with a summary the perf trajectory can
-# assert on (dedup_ratio >= 5, throughput parity, exact accounting).
+# Fleet-scale model dedup (shared skeleton + COW deltas): the residency
+# and throughput numbers ride in the serving JSON as a top-level "fleet"
+# section with a summary the perf trajectory can assert on
+# (dedup_ratio >= 5, exact accounting).
 fleet_json="$(mktemp)"
 "$fleet_bin" \
   --benchmark_out="$fleet_json" \
@@ -158,18 +158,15 @@ fleet_benchmarks = [
 ]
 summary = {}
 for bench in fleet_benchmarks:
-    mode = "shared" if bench.get("shared") else "private"
     if bench["name"].startswith("BM_FleetResidency"):
-        summary[mode + "_resident_bytes"] = bench.get("resident_bytes")
-        summary[mode + "_bytes_per_tenant"] = bench.get("bytes_per_tenant")
-        if bench.get("shared"):
-            summary["dedup_ratio"] = bench.get("dedup_ratio")
-        summary.setdefault("accounting_exact", True)
-        summary["accounting_exact"] = (
-            summary["accounting_exact"]
-            and bench.get("accounting_exact") == 1.0)
+        summary["resident_bytes"] = bench.get("resident_bytes")
+        summary["private_equivalent_bytes"] = bench.get(
+            "private_equivalent_bytes")
+        summary["bytes_per_tenant"] = bench.get("bytes_per_tenant")
+        summary["dedup_ratio"] = bench.get("dedup_ratio")
+        summary["accounting_exact"] = bench.get("accounting_exact") == 1.0
     elif bench["name"].startswith("BM_FleetThroughput"):
-        summary[mode + "_events_per_second"] = bench.get("items_per_second")
+        summary["events_per_second"] = bench.get("items_per_second")
 serving["fleet"] = {"benchmarks": fleet_benchmarks, "summary": summary}
 if summary:
     print("fleet model dedup (10k tenants, one template):")
