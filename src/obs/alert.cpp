@@ -1,44 +1,15 @@
 #include "causaliot/obs/alert.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cinttypes>
 
 #include "causaliot/util/check.hpp"
+#include "causaliot/util/flat_json.hpp"
 #include "causaliot/util/strings.hpp"
 
 namespace causaliot::obs {
 
 namespace {
-
-void skip_ws(std::string_view line, std::size_t& i) {
-  while (i < line.size() &&
-         (line[i] == ' ' || line[i] == '\t' || line[i] == '\r')) {
-    ++i;
-  }
-}
-
-bool scan_string(std::string_view line, std::size_t& i,
-                 std::string_view& out) {
-  const std::size_t begin = ++i;
-  while (i < line.size() && line[i] != '"') {
-    if (line[i] == '\\') return false;
-    ++i;
-  }
-  if (i >= line.size()) return false;
-  out = line.substr(begin, i - begin);
-  ++i;  // closing quote
-  return true;
-}
-
-bool scan_number(std::string_view line, std::size_t& i, double& out) {
-  const char* begin = line.data() + i;
-  const char* end = line.data() + line.size();
-  const auto parsed = std::from_chars(begin, end, out);
-  if (parsed.ec != std::errc{}) return false;
-  i += static_cast<std::size_t>(parsed.ptr - begin);
-  return true;
-}
 
 const char* op_name(AlertOp op) {
   switch (op) {
@@ -132,152 +103,94 @@ util::Result<std::vector<AlertRule>> parse_alert_rules(std::string_view text) {
   std::size_t start = 0;
   while (start <= text.size()) {
     const std::size_t newline = text.find('\n', start);
-    const std::string_view line = util::trim(
+    const std::string_view line =
         text.substr(start, newline == std::string_view::npos
                                ? text.size() - start
-                               : newline - start));
+                               : newline - start);
     ++line_number;
     start = newline == std::string_view::npos ? text.size() + 1 : newline + 1;
-    if (line.empty() || line.front() == '#') continue;
+    const std::string_view content = util::trim(line);
+    if (content.empty() || content.front() == '#') continue;
 
     AlertRule rule;
     bool has_value = false;
     bool has_kind = false;
-    std::size_t i = 0;
-    skip_ws(line, i);
-    if (i >= line.size() || line[i] != '{') {
-      return line_error(line_number, "expected a JSON object");
-    }
-    ++i;
-    skip_ws(line, i);
-    if (i < line.size() && line[i] == '}') {
-      ++i;
-    } else {
-      while (true) {
-        skip_ws(line, i);
-        if (i >= line.size() || line[i] != '"') {
-          return line_error(line_number, "expected a quoted key");
-        }
-        std::string_view key;
-        if (!scan_string(line, i, key)) {
-          return line_error(line_number, "unterminated key");
-        }
-        skip_ws(line, i);
-        if (i >= line.size() || line[i] != ':') {
-          return line_error(line_number, "expected ':'");
-        }
-        ++i;
-        skip_ws(line, i);
-
-        const auto want_string = [&](std::string_view& out) {
-          return i < line.size() && line[i] == '"' &&
-                 scan_string(line, i, out);
-        };
-        if (key == "name") {
-          std::string_view v;
-          if (!want_string(v)) {
-            return line_error(line_number, "\"name\" must be a string");
-          }
-          rule.name = std::string(v);
-        } else if (key == "metric") {
-          std::string_view v;
-          if (!want_string(v)) {
-            return line_error(line_number, "\"metric\" must be a string");
-          }
-          rule.metric = std::string(v);
-        } else if (key == "labels") {
-          std::string_view v;
-          if (!want_string(v)) {
-            return line_error(line_number, "\"labels\" must be a string");
-          }
-          for (const std::string& item : util::split(v, ',')) {
-            const std::string_view pair = util::trim(item);
-            if (pair.empty()) continue;
-            const std::size_t eq = pair.find('=');
-            if (eq == std::string_view::npos || eq == 0) {
-              return line_error(line_number,
-                                "\"labels\" entries must look like k=v");
-            }
-            rule.labels.emplace_back(
-                std::string(util::trim(pair.substr(0, eq))),
-                std::string(util::trim(pair.substr(eq + 1))));
-          }
-          std::sort(rule.labels.begin(), rule.labels.end());
-        } else if (key == "kind") {
-          std::string_view v;
-          if (!want_string(v)) {
-            return line_error(line_number, "\"kind\" must be a string");
-          }
-          has_kind = true;
-          if (v == "threshold") {
-            rule.kind = AlertKind::kThreshold;
-          } else if (v == "rate") {
-            rule.kind = AlertKind::kRate;
-          } else if (v == "absence") {
-            rule.kind = AlertKind::kAbsence;
-          } else {
-            return line_error(line_number,
-                              "\"kind\" must be threshold | rate | absence");
-          }
-        } else if (key == "op") {
-          std::string_view v;
-          if (!want_string(v)) {
-            return line_error(line_number, "\"op\" must be a string");
-          }
-          if (v == ">") {
-            rule.op = AlertOp::kGt;
-          } else if (v == ">=") {
-            rule.op = AlertOp::kGe;
-          } else if (v == "<") {
-            rule.op = AlertOp::kLt;
-          } else if (v == "<=") {
-            rule.op = AlertOp::kLe;
-          } else {
-            return line_error(line_number, "\"op\" must be > | >= | < | <=");
-          }
-        } else if (key == "value") {
-          if (!scan_number(line, i, rule.value)) {
-            return line_error(line_number, "\"value\" must be a number");
-          }
-          has_value = true;
-        } else if (key == "window_seconds") {
-          if (!scan_number(line, i, rule.window_seconds)) {
-            return line_error(line_number,
-                              "\"window_seconds\" must be a number");
-          }
-        } else if (key == "for_seconds") {
-          if (!scan_number(line, i, rule.for_seconds)) {
-            return line_error(line_number, "\"for_seconds\" must be a number");
-          }
-        } else if (key == "stale_seconds") {
-          if (!scan_number(line, i, rule.stale_seconds)) {
-            return line_error(line_number,
-                              "\"stale_seconds\" must be a number");
-          }
-        } else {
-          return line_error(line_number,
-                            util::format("unknown key \"%.*s\"",
-                                         static_cast<int>(key.size()),
-                                         key.data()));
-        }
-        skip_ws(line, i);
-        if (i >= line.size()) {
-          return line_error(line_number, "unterminated object");
-        }
-        if (line[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (line[i] == '}') {
-          ++i;
-          break;
-        }
-        return line_error(line_number, "expected ',' or '}'");
+    std::string refusal;  // why the first refused member was refused
+    const auto visit = [&](std::string_view key,
+                           const util::FlatJsonValue& member) {
+      const auto refuse = [&](const char* why) {
+        refusal = util::format("\"%.*s\" %s", static_cast<int>(key.size()),
+                               key.data(), why);
+        return false;
+      };
+      double* number = key == "value"            ? &rule.value
+                       : key == "window_seconds" ? &rule.window_seconds
+                       : key == "for_seconds"    ? &rule.for_seconds
+                       : key == "stale_seconds"  ? &rule.stale_seconds
+                                                 : nullptr;
+      if (number != nullptr) {
+        if (!member.is_number()) return refuse("must be a number");
+        *number = member.number;
+        has_value |= number == &rule.value;
+        return true;
       }
-    }
-    skip_ws(line, i);
-    if (i != line.size()) {
-      return line_error(line_number, "trailing garbage after object");
+      if (key != "name" && key != "metric" && key != "labels" &&
+          key != "kind" && key != "op") {
+        refusal = util::format("unknown key \"%.*s\"",
+                               static_cast<int>(key.size()), key.data());
+        return false;
+      }
+      if (!member.is_string() || member.escaped) {
+        return refuse("must be a string without escapes");
+      }
+      const std::string_view str = member.text;
+      if (key == "name") {
+        rule.name = std::string(str);
+      } else if (key == "metric") {
+        rule.metric = std::string(str);
+      } else if (key == "labels") {
+        for (const std::string& item : util::split(str, ',')) {
+          const std::string_view pair = util::trim(item);
+          if (pair.empty()) continue;
+          const std::size_t eq = pair.find('=');
+          if (eq == std::string_view::npos || eq == 0) {
+            return refuse("entries must look like k=v");
+          }
+          rule.labels.emplace_back(
+              std::string(util::trim(pair.substr(0, eq))),
+              std::string(util::trim(pair.substr(eq + 1))));
+        }
+        std::sort(rule.labels.begin(), rule.labels.end());
+      } else if (key == "kind") {
+        has_kind = true;
+        if (str == "threshold") {
+          rule.kind = AlertKind::kThreshold;
+        } else if (str == "rate") {
+          rule.kind = AlertKind::kRate;
+        } else if (str == "absence") {
+          rule.kind = AlertKind::kAbsence;
+        } else {
+          return refuse("must be threshold | rate | absence");
+        }
+      } else if (str == ">") {  // the key is "op" from here on
+        rule.op = AlertOp::kGt;
+      } else if (str == ">=") {
+        rule.op = AlertOp::kGe;
+      } else if (str == "<") {
+        rule.op = AlertOp::kLt;
+      } else if (str == "<=") {
+        rule.op = AlertOp::kLe;
+      } else {
+        return refuse("must be > | >= | < | <=");
+      }
+      return true;
+    };
+    if (const auto error = util::scan_flat_json(line, visit)) {
+      return line_error(line_number,
+                        !refusal.empty()
+                            ? refusal
+                            : util::format("%s at offset %zu", error->what,
+                                           error->offset));
     }
 
     if (rule.name.empty()) {
@@ -380,8 +293,8 @@ bool AlertEngine::condition(const Runtime& rt, std::uint64_t now_ns,
       return compare(rule.op, best, rule.value);
     }
     case AlertKind::kRate: {
-      const auto window_ns =
-          static_cast<std::uint64_t>(rule.window_seconds * 1e9);
+      const std::uint64_t window_ns =
+          window_seconds_to_ns(rule.window_seconds);
       const auto windows = store_.raw_window(rule.metric, window_ns, now_ns);
       bool found = false;
       double best = 0.0;

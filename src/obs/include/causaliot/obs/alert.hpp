@@ -24,7 +24,10 @@
 // is itself observable — and therefore retained by the history store.
 //
 // Rules file format: JSONL, one flat object per line, '#' comments and
-// blank lines ignored:
+// blank lines ignored. Each line is read by util::scan_flat_json, the
+// same grammar as event traces and ingest lines (non-finite numbers
+// such as `nan` or `inf` are rejected); string values may not contain
+// backslash escapes.
 //
 //   {"name": "queue_sat", "metric": "serve_queue_depth",
 //    "labels": "shard=0", "kind": "threshold", "op": ">=",
@@ -75,9 +78,9 @@ struct AlertRule {
   double stale_seconds = 0.0;   // absence staleness (required for kAbsence)
 };
 
-/// Parses the JSONL rules format described above. Unknown keys, bad
-/// operators, duplicate rule names, and kind/parameter mismatches are
-/// reported with their line number.
+/// Parses the JSONL rules format described above. Grammar errors (with
+/// their byte offset), unknown keys, bad operators, duplicate rule names,
+/// and kind/parameter mismatches are reported with their line number.
 util::Result<std::vector<AlertRule>> parse_alert_rules(std::string_view text);
 
 class AlertEngine {

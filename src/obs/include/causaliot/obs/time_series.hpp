@@ -43,6 +43,11 @@
 
 namespace causaliot::obs {
 
+/// A lookback window in seconds as nanoseconds: 0 for a non-positive
+/// window, saturating below 2^64 for a huge finite one (the plain cast
+/// would be undefined there).
+std::uint64_t window_seconds_to_ns(double window_seconds);
+
 struct TimeSeriesConfig {
   /// Sampler tick interval. 0 is legal for an externally driven store
   /// (tests call sample_at() directly; start() then refuses to spawn).

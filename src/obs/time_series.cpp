@@ -64,6 +64,12 @@ std::string json_labels(const Labels& labels) {
 
 }  // namespace
 
+std::uint64_t window_seconds_to_ns(double window_seconds) {
+  constexpr double kMaxNs = 18446744073709549568.0;  // largest double < 2^64
+  if (!(window_seconds > 0.0)) return 0;
+  return static_cast<std::uint64_t>(std::min(window_seconds * 1e9, kMaxNs));
+}
+
 /// Fixed-capacity single-writer ring of (t, value) points. The writer
 /// fills a slot's relaxed atomics, then release-publishes the running
 /// sample count; readers copy a window and use a second head load to
@@ -375,9 +381,7 @@ std::string TimeSeriesStore::history_json(std::string_view selectors,
                                           std::string_view tier,
                                           std::uint64_t now_ns) const {
   const bool agg_tier = tier == "agg";
-  const std::uint64_t window_ns =
-      window_seconds <= 0.0 ? 0
-                            : static_cast<std::uint64_t>(window_seconds * 1e9);
+  const std::uint64_t window_ns = window_seconds_to_ns(window_seconds);
   const std::vector<std::string_view> wanted = split_selectors(selectors);
 
   std::string out = util::format(

@@ -15,11 +15,12 @@
 //   {"op": "add_tenant", "tenant": "home-9", "template": "default"}
 //   {"op": "remove_tenant", "tenant": "home-9"}
 //
-// The scanner is a zero-allocation flat-JSON field walk (string_view
-// slices into the line, std::from_chars for numbers) because the parse
-// is the per-event cost floor of the whole plane: the detection path
-// behind it is O(1), so a general-purpose parser would dominate the
-// throughput budget.
+// Lines are read by util::scan_flat_json, the zero-allocation flat-JSON
+// walk (string_view slices into the line, std::from_chars for numbers)
+// shared with event traces and alert rules, because the parse is the
+// per-event cost floor of the whole plane: the detection path behind it
+// is O(1), so a general-purpose parser would dominate the throughput
+// budget. Non-finite numbers (`nan`, `inf`) are parse errors.
 //
 // The protocol is quiet on success for events (response_line() returns
 // nullopt) and explicit for everything else ("OK ..." / "ERR <reason>"),
@@ -65,10 +66,10 @@ struct IngestFields {
   bool has_timestamp = false;
 };
 
-/// Scans one `{"key": value, ...}` object — string and number values,
-/// no nesting, unknown keys skipped. Returns false on malformed input.
-/// Escapes inside strings are not processed (device/tenant names are
-/// identifiers); a name containing `\"` simply fails to match anything.
+/// Scans one `{"key": value, ...}` object with util::scan_flat_json;
+/// unknown keys are skipped. Returns false on malformed input, on a
+/// known key of the wrong type, and on an escaped `op`, `tenant`,
+/// `device` or `template` value (names are identifiers, not decoded).
 bool scan_ingest_line(std::string_view line, IngestFields& out);
 
 struct IngestConfig {

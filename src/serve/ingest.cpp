@@ -1,130 +1,39 @@
 #include "causaliot/serve/ingest.hpp"
 
-#include <charconv>
-
 #include "causaliot/obs/http_server.hpp"
+#include "causaliot/util/flat_json.hpp"
 #include "causaliot/util/strings.hpp"
 
 namespace causaliot::serve {
 
-namespace {
-
-void skip_ws(std::string_view line, std::size_t& i) {
-  while (i < line.size() &&
-         (line[i] == ' ' || line[i] == '\t' || line[i] == '\r')) {
-    ++i;
-  }
-}
-
-/// Reads a quoted string starting at line[i] == '"'; the slice excludes
-/// the quotes. Backslash escapes poison the parse (see header).
-bool scan_string(std::string_view line, std::size_t& i,
-                 std::string_view& out) {
-  const std::size_t begin = ++i;
-  while (i < line.size() && line[i] != '"') {
-    if (line[i] == '\\') return false;
-    ++i;
-  }
-  if (i >= line.size()) return false;
-  out = line.substr(begin, i - begin);
-  ++i;  // closing quote
-  return true;
-}
-
-bool scan_number(std::string_view line, std::size_t& i, double& out) {
-  const char* begin = line.data() + i;
-  const char* end = line.data() + line.size();
-  const auto parsed = std::from_chars(begin, end, out);
-  if (parsed.ec != std::errc{}) return false;
-  i += static_cast<std::size_t>(parsed.ptr - begin);
-  return true;
-}
-
-/// Skips a value of any supported type (for unknown keys).
-bool skip_value(std::string_view line, std::size_t& i) {
-  if (i >= line.size()) return false;
-  if (line[i] == '"') {
-    std::string_view ignored;
-    return scan_string(line, i, ignored);
-  }
-  for (std::string_view literal : {"true", "false", "null"}) {
-    if (line.substr(i, literal.size()) == literal) {
-      i += literal.size();
-      return true;
-    }
-  }
-  double ignored = 0.0;
-  return scan_number(line, i, ignored);
-}
-
-}  // namespace
-
 bool scan_ingest_line(std::string_view line, IngestFields& out) {
-  std::size_t i = 0;
-  skip_ws(line, i);
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  skip_ws(line, i);
-  if (i < line.size() && line[i] == '}') {
-    ++i;
-  } else {
-    while (true) {
-      skip_ws(line, i);
-      if (i >= line.size() || line[i] != '"') return false;
-      std::string_view key;
-      if (!scan_string(line, i, key)) return false;
-      skip_ws(line, i);
-      if (i >= line.size() || line[i] != ':') return false;
-      ++i;
-      skip_ws(line, i);
-      if (key == "op") {
-        if (i >= line.size() || line[i] != '"' ||
-            !scan_string(line, i, out.op)) {
-          return false;
-        }
-        out.has_op = true;
-      } else if (key == "tenant") {
-        if (i >= line.size() || line[i] != '"' ||
-            !scan_string(line, i, out.tenant)) {
-          return false;
-        }
-        out.has_tenant = true;
-      } else if (key == "device") {
-        if (i >= line.size() || line[i] != '"' ||
-            !scan_string(line, i, out.device)) {
-          return false;
-        }
-        out.has_device = true;
-      } else if (key == "template") {
-        if (i >= line.size() || line[i] != '"' ||
-            !scan_string(line, i, out.template_name)) {
-          return false;
-        }
-        out.has_template = true;
-      } else if (key == "value") {
-        if (!scan_number(line, i, out.value)) return false;
-        out.has_value = true;
-      } else if (key == "timestamp") {
-        if (!scan_number(line, i, out.timestamp)) return false;
-        out.has_timestamp = true;
-      } else {
-        if (!skip_value(line, i)) return false;
-      }
-      skip_ws(line, i);
-      if (i >= line.size()) return false;
-      if (line[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (line[i] == '}') {
-        ++i;
-        break;
-      }
-      return false;
+  const auto visit = [&out](std::string_view key,
+                            const util::FlatJsonValue& value) {
+    const auto take_name = [&value](std::string_view& field, bool& has) {
+      if (!value.is_string() || value.escaped) return false;
+      field = value.text;
+      has = true;
+      return true;
+    };
+    const auto take_number = [&value](double& field, bool& has) {
+      if (!value.is_number()) return false;
+      field = value.number;
+      has = true;
+      return true;
+    };
+    if (key == "op") return take_name(out.op, out.has_op);
+    if (key == "tenant") return take_name(out.tenant, out.has_tenant);
+    if (key == "device") return take_name(out.device, out.has_device);
+    if (key == "template") {
+      return take_name(out.template_name, out.has_template);
     }
-  }
-  skip_ws(line, i);
-  return i == line.size() || line[i] == '\n';
+    if (key == "value") return take_number(out.value, out.has_value);
+    if (key == "timestamp") {
+      return take_number(out.timestamp, out.has_timestamp);
+    }
+    return true;  // unknown keys are skipped
+  };
+  return !util::scan_flat_json(line, visit);
 }
 
 IngestRouter::IngestRouter(DetectionService& service,

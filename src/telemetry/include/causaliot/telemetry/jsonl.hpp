@@ -5,9 +5,11 @@
 //
 //   {"timestamp": 12.5, "device": "pe_kitchen", "value": 1}
 //
-// This is a deliberately minimal parser for flat objects with string and
-// number values — no nesting, no arrays — which is exactly the event
-// shape; anything else is a parse error, not a silent skip.
+// Lines are read by util::scan_flat_json, the one flat-object grammar
+// shared with ingest lines and alert rules: no nesting, no arrays, finite
+// numbers only — which is exactly the event shape; anything else is a
+// parse error, not a silent skip. Device names are JSON-escaped on write
+// and unescaped on read, so any name round-trips.
 #pragma once
 
 #include <string>
@@ -19,8 +21,8 @@
 namespace causaliot::telemetry {
 
 /// Parses one `{"key": value, ...}` line into an event. Field names:
-/// `timestamp` (number), `device` (string, looked up in `catalog`),
-/// `value` (number). Unknown extra fields are ignored.
+/// `timestamp` (number), `device` (string, unescaped and looked up in
+/// `catalog`), `value` (number). Unknown extra fields are ignored.
 util::Result<DeviceEvent> parse_jsonl_event(std::string_view line,
                                             const DeviceCatalog& catalog);
 

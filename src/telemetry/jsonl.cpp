@@ -1,159 +1,52 @@
 #include "causaliot/telemetry/jsonl.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <map>
-#include <variant>
 
+#include "causaliot/util/flat_json.hpp"
 #include "causaliot/util/strings.hpp"
 
 namespace causaliot::telemetry {
 
-namespace {
-
-// Minimal recursive-descent scanner for a flat JSON object of string and
-// number values.
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(std::string_view text) : text_(text) {}
-
-  using Value = std::variant<double, std::string>;
-
-  util::Result<std::map<std::string, Value>> parse() {
-    std::map<std::string, Value> fields;
-    skip_whitespace();
-    if (!consume('{')) return fail("expected '{'");
-    skip_whitespace();
-    if (consume('}')) return finish(std::move(fields));
-    while (true) {
-      skip_whitespace();
-      auto key = parse_string();
-      if (!key.ok()) return key.error();
-      skip_whitespace();
-      if (!consume(':')) return fail("expected ':'");
-      skip_whitespace();
-      if (peek() == '"') {
-        auto value = parse_string();
-        if (!value.ok()) return value.error();
-        fields[key.value()] = std::move(value).value();
-      } else {
-        auto value = parse_number();
-        if (!value.ok()) return value.error();
-        fields[key.value()] = value.value();
-      }
-      skip_whitespace();
-      if (consume(',')) continue;
-      if (consume('}')) break;
-      return fail("expected ',' or '}'");
-    }
-    return finish(std::move(fields));
-  }
-
- private:
-  util::Result<std::map<std::string, Value>> finish(
-      std::map<std::string, Value> fields) {
-    skip_whitespace();
-    if (position_ != text_.size()) return fail("trailing characters");
-    return fields;
-  }
-
-  util::Error fail(const char* message) const {
-    return util::Error::parse_error(
-        util::format("%s at offset %zu", message, position_));
-  }
-
-  char peek() const {
-    return position_ < text_.size() ? text_[position_] : '\0';
-  }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++position_;
-    return true;
-  }
-  void skip_whitespace() {
-    while (position_ < text_.size() &&
-           (text_[position_] == ' ' || text_[position_] == '\t')) {
-      ++position_;
-    }
-  }
-
-  util::Result<std::string> parse_string() {
-    if (!consume('"')) return fail("expected '\"'");
-    std::string out;
-    while (position_ < text_.size()) {
-      const char c = text_[position_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (position_ >= text_.size()) return fail("dangling escape");
-        const char escaped = text_[position_++];
-        switch (escaped) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          default: return fail("unsupported escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  util::Result<double> parse_number() {
-    const std::size_t start = position_;
-    if (peek() == '-') ++position_;
-    while (std::isdigit(static_cast<unsigned char>(peek())) != 0 ||
-           peek() == '.' || peek() == 'e' || peek() == 'E' || peek() == '+' ||
-           peek() == '-') {
-      ++position_;
-    }
-    const auto parsed =
-        util::parse_double(text_.substr(start, position_ - start));
-    if (!parsed.ok()) return fail("invalid number");
-    return parsed.value();
-  }
-
-  std::string_view text_;
-  std::size_t position_ = 0;
-};
-
-}  // namespace
-
 util::Result<DeviceEvent> parse_jsonl_event(std::string_view line,
                                             const DeviceCatalog& catalog) {
-  FlatJsonParser parser(line);
-  auto fields = parser.parse();
-  if (!fields.ok()) return fields.error();
-
-  const auto timestamp = fields.value().find("timestamp");
-  if (timestamp == fields.value().end() ||
-      !std::holds_alternative<double>(timestamp->second)) {
+  util::FlatJsonValue timestamp, device, value;
+  const auto error = util::scan_flat_json(
+      line, [&](std::string_view key, const util::FlatJsonValue& v) {
+        if (key == "timestamp") timestamp = v;
+        if (key == "device") device = v;
+        if (key == "value") value = v;
+        return true;  // unknown keys are ignored
+      });
+  if (error) {
+    return util::Error::parse_error(
+        util::format("%s at offset %zu", error->what, error->offset));
+  }
+  if (!timestamp.is_number()) {
     return util::Error::parse_error("missing numeric 'timestamp'");
   }
-  const auto device = fields.value().find("device");
-  if (device == fields.value().end() ||
-      !std::holds_alternative<std::string>(device->second)) {
+  if (!device.is_string()) {
     return util::Error::parse_error("missing string 'device'");
   }
-  const auto value = fields.value().find("value");
-  if (value == fields.value().end() ||
-      !std::holds_alternative<double>(value->second)) {
+  if (!value.is_number()) {
     return util::Error::parse_error("missing numeric 'value'");
   }
-  const auto id = catalog.find(std::get<std::string>(device->second));
+  std::string unescaped;
+  if (device.escaped) {
+    auto name = util::json_unescape(device.text);
+    if (!name.ok()) return name.error();
+    unescaped = std::move(name).value();
+  }
+  const auto id =
+      catalog.find(device.escaped ? std::string_view(unescaped) : device.text);
   if (!id.ok()) return id.error();
-  return DeviceEvent{std::get<double>(timestamp->second), id.value(),
-                     std::get<double>(value->second)};
+  return DeviceEvent{timestamp.number, id.value(), value.number};
 }
 
 std::string format_jsonl_event(const DeviceEvent& event,
                                const DeviceCatalog& catalog) {
+  const std::string name = util::json_escape(catalog.info(event.device).name);
   return util::format(R"({"timestamp": %.3f, "device": "%s", "value": %g})",
-                      event.timestamp,
-                      catalog.info(event.device).name.c_str(), event.value);
+                      event.timestamp, name.c_str(), event.value);
 }
 
 util::Result<EventLog> load_jsonl(const std::string& path,

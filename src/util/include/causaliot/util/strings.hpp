@@ -19,7 +19,8 @@ std::string_view trim(std::string_view text);
 std::string join(const std::vector<std::string>& items,
                  std::string_view separator);
 
-/// Strict full-string parses (no trailing garbage allowed).
+/// Strict full-string parses (no trailing garbage allowed). parse_double
+/// accepts finite values only: `nan`, `inf` and `infinity` are errors.
 Result<double> parse_double(std::string_view text);
 Result<std::int64_t> parse_int(std::string_view text);
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -52,7 +53,8 @@ Result<double> parse_double(std::string_view text) {
   double value = 0.0;
   const auto [ptr, ec] =
       std::from_chars(trimmed.data(), trimmed.data() + trimmed.size(), value);
-  if (ec != std::errc{} || ptr != trimmed.data() + trimmed.size()) {
+  if (ec != std::errc{} || ptr != trimmed.data() + trimmed.size() ||
+      !std::isfinite(value)) {
     return Error::parse_error("invalid double: '" + std::string(trimmed) +
                               "'");
   }

@@ -93,6 +93,15 @@ TEST(ObsAlertRules, RejectsMalformedRulesWithLineNumbers) {
   check("{\"name\": \"r\", \"metric\": \"m\", \"value\": 1}\n"
         "{\"name\": \"r\", \"metric\": \"m\", \"value\": 2}\n",
         "line 2: duplicate rule name");
+  check("{\"name\": \"a\\\"b\", \"metric\": \"m\", \"value\": 1}\n",
+        "\"name\" must be a string without escapes");
+  check("# non-finite numbers are grammar errors\n"
+        "{\"name\": \"r\", \"metric\": \"m\", \"value\": nan}\n",
+        "line 2: non-finite number");
+  check("{\"name\": \"r\", \"metric\": \"m\", \"value\": 1}\n"
+        "{\"name\": \"q\", \"metric\": \"m\", \"kind\": \"rate\", "
+        "\"value\": 1, \"window_seconds\": inf}\n",
+        "line 2: non-finite number");
 }
 
 // --- the state machine, tick by tick ---

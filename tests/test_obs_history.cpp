@@ -6,14 +6,23 @@
 // a live sampler thread.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "causaliot/obs/http_server.hpp"
 #include "causaliot/obs/registry.hpp"
 #include "causaliot/obs/time_series.hpp"
+#include "causaliot/serve/introspection.hpp"
+#include "causaliot/serve/service.hpp"
 
 namespace causaliot::obs {
 namespace {
@@ -275,6 +284,74 @@ TEST(ObsHistory, StartStopLifecycleIsIdempotent) {
   EXPECT_FALSE(store.running());
   store.stop();  // idempotent
   EXPECT_GE(store.samples_taken(), 1u);
+}
+
+TEST(ObsHistory, WindowSecondsToNsSaturates) {
+  EXPECT_EQ(window_seconds_to_ns(0.0), 0u);
+  EXPECT_EQ(window_seconds_to_ns(-5.0), 0u);
+  EXPECT_EQ(window_seconds_to_ns(1.5), 1'500'000'000u);
+  EXPECT_EQ(window_seconds_to_ns(1e30), 18446744073709549568ull);
+}
+
+// Minimal blocking GET against 127.0.0.1:port; returns the status code
+// and fills `body`.
+int http_get(std::uint16_t port, const std::string& target,
+             std::string& body) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return 0;
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                sizeof(address)) != 0) {
+    ::close(fd);
+    return 0;
+  }
+  const std::string request =
+      "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  std::string wire;
+  char chunk[4096];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0;) {
+    wire.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  const std::size_t head_end = wire.find("\r\n\r\n");
+  if (head_end == std::string::npos) return 0;
+  body = wire.substr(head_end + 4);
+  return std::atoi(wire.c_str() + wire.find(' ') + 1);
+}
+
+TEST(ObsHistory, HttpWindowRejectsNonFiniteAndClampsHugeValues) {
+  serve::DetectionService service(serve::ServiceConfig{},
+                                  [](const serve::ServedAlarm&) {});
+  service.registry().gauge("g").set(5);
+  TimeSeriesStore store(service.registry(), manual_config());
+  store.sample_at(1 * kSecond);
+
+  HttpServer server;
+  serve::IntrospectionOptions options;
+  options.history = &store;
+  serve::attach_introspection(server, service, options);
+  ASSERT_TRUE(server.start().ok());
+
+  std::string body;
+  for (const char* window : {"inf", "nan", "-inf", "infinity"}) {
+    EXPECT_EQ(http_get(server.port(),
+                       std::string("/metrics/history?series=g&window=") +
+                           window,
+                       body),
+              400)
+        << window;
+  }
+  // A finite window far beyond 2^64 ns covers the whole ring.
+  EXPECT_EQ(
+      http_get(server.port(), "/metrics/history?series=g&window=1e30", body),
+      200);
+  EXPECT_NE(body.find("\"name\": \"g\""), std::string::npos) << body;
+  EXPECT_NE(body.find("\"value\": 5"), std::string::npos) << body;
+  server.stop();
 }
 
 }  // namespace

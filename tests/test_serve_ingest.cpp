@@ -69,6 +69,14 @@ TEST(ScanIngestLine, RejectsMalformedLines) {
   EXPECT_FALSE(scan_ingest_line("{\"device\": \"a\\\"b\"}", fields));
   EXPECT_FALSE(scan_ingest_line("{\"a\": 1} trailing", fields));
   EXPECT_FALSE(scan_ingest_line("{\"a\": {\"nested\": 1}}", fields));
+  // Non-finite numbers are parse errors, under any key.
+  EXPECT_FALSE(scan_ingest_line(
+      R"({"device": "d", "value": 1, "timestamp": inf})", fields));
+  EXPECT_FALSE(scan_ingest_line(
+      R"({"device": "d", "value": nan, "timestamp": 1})", fields));
+  EXPECT_FALSE(scan_ingest_line(
+      R"({"device": "d", "value": 1, "timestamp": 1, "note": -infinity})",
+      fields));
 }
 
 // --- router + transports over a real service ---
@@ -175,6 +183,28 @@ TEST_F(IngestTest, RoutesEventsAndCountsEveryRejection) {
   EXPECT_NE(
       prom.find("serve_ingest_rejected_total{reason=\"unknown-device\"} 1"),
       std::string::npos);
+}
+
+TEST_F(IngestTest, NonFiniteNumbersAreParseRejections) {
+  Plane plane = make_plane();
+  IngestRouter& router = *plane.router;
+  const std::string device = device_name(0);
+  for (const std::string& line : {
+           R"({"device": ")" + device + R"(", "value": 1, "timestamp": inf})",
+           R"({"device": ")" + device + R"(", "value": nan, "timestamp": 1})",
+       }) {
+    const IngestRouter::LineResult result = router.handle_line(line);
+    EXPECT_EQ(result.outcome, Outcome::kParseError) << line;
+    EXPECT_EQ(IngestRouter::response_line(result), "ERR parse") << line;
+  }
+  EXPECT_EQ(router.handle_line(event_line("", 0, 1.0)).outcome,
+            Outcome::kAccepted);
+
+  plane.service->shutdown();
+  EXPECT_EQ(plane.service->stats().events_submitted, 1u);
+  EXPECT_NE(plane.service->registry().to_prometheus().find(
+                "serve_ingest_rejected_total{reason=\"parse\"} 2"),
+            std::string::npos);
 }
 
 TEST_F(IngestTest, ControlVerbsDriveTenantChurn) {

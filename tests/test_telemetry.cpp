@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "causaliot/telemetry/device.hpp"
 #include "causaliot/telemetry/event.hpp"
@@ -154,6 +155,20 @@ TEST_F(EventLogFileTest, LoadRejectsUnknownDevice) {
                         ValueType::kBinary})
                   .ok());
   EXPECT_FALSE(EventLog::load_csv(path_.string(), other).ok());
+}
+
+TEST_F(EventLogFileTest, LoadRejectsNonFiniteFields) {
+  const auto load_row = [this](const char* row) {
+    std::ofstream(path_) << "timestamp,device,value\n"
+                         << "1.0,switch_a,0\n"
+                         << row << "\n";
+    return EventLog::load_csv(path_.string(), small_catalog());
+  };
+  ASSERT_TRUE(load_row("2.0,switch_a,1").ok());
+  for (const char* row :
+       {"nan,switch_a,1", "inf,switch_a,1", "2.0,switch_a,-inf"}) {
+    EXPECT_FALSE(load_row(row).ok()) << row;
+  }
 }
 
 }  // namespace

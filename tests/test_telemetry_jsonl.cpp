@@ -74,6 +74,9 @@ TEST(Jsonl, RejectsMalformedLines) {
            R"({"device": "pe_kitchen", "value": 0})",           // no ts
            R"({"timestamp": 1, "device": "ghost", "value": 0})",  // unknown
            R"({"timestamp": "1", "device": "pe_kitchen", "value": 0})",
+           R"({"timestamp": nan, "device": "pe_kitchen", "value": 1})",
+           R"({"timestamp": 1, "device": "pe_kitchen", "value": inf})",
+           R"({"timestamp": 1, "device": "pe_kitchen", "value": 1, "x": nan})",
        }) {
     EXPECT_FALSE(parse_jsonl_event(bad, catalog).ok()) << bad;
   }
@@ -88,6 +91,19 @@ TEST(Jsonl, FormatParsesBack) {
   EXPECT_EQ(back->device, original.device);
   EXPECT_DOUBLE_EQ(back->value, original.value);
   EXPECT_NEAR(back->timestamp, original.timestamp, 1e-3);
+
+  // Names that need escaping survive the round trip too.
+  DeviceCatalog odd;
+  for (const char* name : {"weird \"name\"", "tab\there", "back\\slash"}) {
+    ASSERT_TRUE(
+        odd.add({name, "x", AttributeType::kSwitch, ValueType::kBinary}).ok());
+  }
+  for (DeviceId id = 0; id < odd.size(); ++id) {
+    const std::string line = format_jsonl_event({1.0, id, 1.0}, odd);
+    const auto parsed = parse_jsonl_event(line, odd);
+    ASSERT_TRUE(parsed.ok()) << line;
+    EXPECT_EQ(parsed->device, id) << line;
+  }
 }
 
 class JsonlFileTest : public ::testing::Test {

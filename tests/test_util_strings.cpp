@@ -51,6 +51,9 @@ TEST(ParseDouble, RejectsGarbage) {
   EXPECT_FALSE(parse_double("1.5x").ok());
   EXPECT_FALSE(parse_double("").ok());
   EXPECT_FALSE(parse_double("  ").ok());
+  for (const char* text : {"inf", "nan", "-inf", "infinity", "-nan"}) {
+    EXPECT_FALSE(parse_double(text).ok()) << text;  // non-finite
+  }
 }
 
 TEST(ParseInt, ValidValues) {
