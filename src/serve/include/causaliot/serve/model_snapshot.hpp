@@ -1,24 +1,17 @@
-// Immutable, atomically swappable detection models.
+// Immutable detection models.
 //
 // A serving session must keep detecting while a retrained model (drift
 // adaptation via `update_cpts`, or a full re-mine) is rolled out. The
 // unit of rollout is a ModelSnapshot: the DIG plus its calibrated score
-// threshold, frozen at publication. Sessions hold snapshots through a
-// ModelSlot — an atomic shared_ptr — so a publisher thread can install a
-// new snapshot without pausing ingestion, and a worker mid-event keeps
-// the old snapshot alive through its own reference until it reaches the
-// next event boundary.
-//
-// Memory-ordering argument (see DESIGN.md §3c): the publisher fully
-// constructs the snapshot before ModelSlot::store (release); a worker's
-// ModelSlot::load (acquire) that observes the new pointer therefore
-// observes every write that built the model. The snapshot is never
-// mutated after publication, so workers need no further synchronization,
-// and the shared_ptr refcount retires the old model only after the last
-// in-flight reader drops it.
+// threshold, frozen at publication. DetectionService::swap_model hands
+// a snapshot to the tenant's shard worker through the shard FIFO; the
+// worker adopts it when it dequeues that control, which is an event
+// boundary by construction (see DESIGN.md §3c). The queue's mutex
+// orders every write that built the snapshot before the worker's read,
+// the snapshot is never mutated after publication, and the shared_ptr
+// refcount retires the old model once its last holder drops it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -48,27 +41,5 @@ inline std::shared_ptr<const ModelSnapshot> make_snapshot(
   snapshot->version = version;
   return snapshot;
 }
-
-/// One session's current model. store() may race with load() freely;
-/// both are wait-free on libstdc++'s atomic<shared_ptr> fast path.
-class ModelSlot {
- public:
-  explicit ModelSlot(std::shared_ptr<const ModelSnapshot> initial)
-      : current_(std::move(initial)) {}
-
-  ModelSlot(const ModelSlot&) = delete;
-  ModelSlot& operator=(const ModelSlot&) = delete;
-
-  std::shared_ptr<const ModelSnapshot> load() const {
-    return current_.load(std::memory_order_acquire);
-  }
-
-  void store(std::shared_ptr<const ModelSnapshot> next) {
-    current_.store(std::move(next), std::memory_order_release);
-  }
-
- private:
-  std::atomic<std::shared_ptr<const ModelSnapshot>> current_;
-};
 
 }  // namespace causaliot::serve

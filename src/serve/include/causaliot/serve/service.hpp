@@ -17,21 +17,22 @@
 //   service.shutdown();                     // drain queues, flush windows
 //
 // Backpressure is explicit (util::BoundedQueue policy per shard) and
-// counted; hot model swap is an atomic snapshot publication adopted at
-// the session's next event boundary; shutdown() closes the queues,
-// drains every queued event, then flushes each session's pending
-// Algorithm 2 window — nothing accepted is ever silently discarded.
+// counted; shutdown() closes the queues, drains every queued event, then
+// flushes each session's pending Algorithm 2 window — nothing accepted
+// is ever silently discarded.
 //
-// Tenant churn on a running service preserves the single-writer worker
-// invariant by riding the shard queues: add_tenant/remove_tenant/
-// swap_model enqueue control messages (an unbounded side lane of the
-// same FIFO, so kReject cannot lose one and kBlock cannot stall one),
-// and only the owning shard worker ever touches a session. The
-// submit-path directory is a lock-free util::SlotArray: routing an
-// event is two acquire loads, no reference counting, no global pause.
-// Removal tombstones the directory entry first, so events already
-// queued behind the RemoveTenant control are counted as orphaned
-// rather than touching a destroyed session.
+// Each tenant's directory entry (a lock-free util::SlotArray slot:
+// routing an event is two acquire loads, no reference counting, no
+// global pause) owns its session. add_tenant builds the session and only
+// then publishes the entry, so no event can reach a shard ahead of its
+// session, before or after start(). remove_tenant and swap_model ride
+// the shard FIFO as controls (an unbounded side lane, so kReject cannot
+// lose one and kBlock cannot stall one); the worker applies each between
+// two events, so every published model is adopted at an event boundary
+// and only the owning shard worker ever touches a session. Removal
+// tombstones the directory entry first, so events already queued behind
+// the RemoveTenant control are counted as orphaned rather than touching
+// a destroyed session.
 #pragma once
 
 #include <atomic>
@@ -134,10 +135,9 @@ class DetectionService {
   /// Registers a home — before start() or on a running service, from
   /// any thread. `initial_state` seeds the phantom state machine (size
   /// must match the model's device count). Returns kInvalidTenant when
-  /// the name is already live or the service has shut down. On a
-  /// running service the session reaches its shard as a control
-  /// message; events submitted after add_tenant returns are guaranteed
-  /// to land behind it in the shard FIFO.
+  /// the name is already live or the service has shut down. The
+  /// session exists before the handle is routable, so events submitted
+  /// after add_tenant returns always find it.
   TenantHandle add_tenant(std::string name,
                           std::shared_ptr<const ModelSnapshot> model,
                           std::vector<std::uint8_t> initial_state);
@@ -179,9 +179,14 @@ class DetectionService {
   SubmitResult submit(TenantHandle tenant,
                       const preprocess::BinaryEvent& event);
 
-  /// Publishes a new model for one tenant without pausing ingestion;
-  /// adopted at that session's next event boundary. Any thread.
-  void swap_model(TenantHandle tenant,
+  /// Publishes a new model for one tenant without pausing ingestion,
+  /// from any thread. The shard worker adopts it between the events
+  /// queued before and after this call; every accepted swap is adopted,
+  /// also when another swap or a removal follows it. False (and nothing
+  /// published or billed) when the handle never existed or was removed,
+  /// the service has shut down, `model` is null, or its device count
+  /// differs from the tenant's.
+  bool swap_model(TenantHandle tenant,
                   std::shared_ptr<const ModelSnapshot> model);
 
   /// Graceful drain: stops accepting events, processes everything queued,
@@ -291,9 +296,8 @@ class DetectionService {
   struct ShardItem {
     enum class Kind : std::uint8_t {
       kEvent,
-      kAddTenant,     // session carries the new tenant's session
       kRemoveTenant,  // flush + destroy the session for `handle`
-      kSwapModel,     // model carries the snapshot to publish
+      kSwapModel,     // model carries the snapshot to adopt
     };
     Kind kind = Kind::kEvent;
     TenantHandle handle = 0;
@@ -301,7 +305,6 @@ class DetectionService {
     std::uint64_t enqueue_ns = 0;
     /// Sampled for span tracing (see ServiceConfig::trace_sample_every).
     bool traced = false;
-    std::unique_ptr<TenantSession> session;
     std::shared_ptr<const ModelSnapshot> model;
   };
 
@@ -311,10 +314,6 @@ class DetectionService {
             return item.kind == ShardItem::Kind::kEvent;
           }) {}
     util::BoundedQueue<ShardItem> queue;
-    /// handle -> session. Owned and touched exclusively by the shard
-    /// worker once start() ran (the single-writer invariant); mutated
-    /// directly only pre-start/post-join under directory_mutex_.
-    std::unordered_map<TenantHandle, std::unique_ptr<TenantSession>> sessions;
     std::thread worker;
     /// Watchdog evidence (see ShardProgress). Written by the worker
     /// only; relaxed is enough — the watchdog compares successive
@@ -327,29 +326,33 @@ class DetectionService {
     obs::Gauge* queue_depth = nullptr;
   };
 
-  /// Submit-path directory entry. Published to the SlotArray only after
-  /// the session's AddTenant control is in the shard FIFO, so no event
-  /// can ever be queued ahead of its session's creation. Removal flips
-  /// `alive` before the RemoveTenant control is queued — the mirror
-  /// guarantee: no event is queued behind the session's destruction.
+  /// Directory entry and session owner. Published to the SlotArray with
+  /// its session already built, so no event can be queued ahead of the
+  /// session's creation. Removal flips `alive` before the RemoveTenant
+  /// control is queued — the mirror guarantee: no event is queued behind
+  /// the session's destruction.
   struct TenantMeta {
     TenantMeta(std::string name_in, std::size_t shard_in,
-               obs::Counter* alarms_in, TenantSession* session_in)
+               obs::Counter* alarms_in,
+               std::unique_ptr<TenantSession> session_in)
         : name(std::move(name_in)), shard(shard_in), alarms(alarms_in),
-          session(session_in) {}
+          device_count(session_in->device_count()),
+          session(std::move(session_in)) {}
     const std::string name;
     const std::size_t shard;
     obs::Counter* const alarms;
-    /// Stable pointer into the owning shard's session map; dangles once
-    /// `alive` is false (see session()).
-    TenantSession* const session;
+    const std::size_t device_count;
+    /// Touched only by the shard worker once published (and after the
+    /// workers joined). The worker resets it when it applies the
+    /// RemoveTenant control; null means later events are orphaned.
+    std::unique_ptr<TenantSession> session;
     std::atomic<bool> alive{true};
   };
 
   void worker_loop(Shard& shard);
   void process_item(Shard& shard, ShardItem& item);
-  void process_event(Shard& shard, ShardItem& item);
-  void deliver(TenantHandle handle, TenantSession& session,
+  void process_event(Shard& shard, ShardItem& item, TenantMeta& meta);
+  void deliver(TenantHandle handle, TenantMeta& meta,
                detect::AnomalyReport report);
   void refresh_queue_gauges() const;
   void refresh_model_gauges() const;
@@ -370,7 +373,7 @@ class DetectionService {
   /// on removal, never freed, so a stale handle reads as dead instead
   /// of dangling. Handles are assigned densely and never reused.
   util::SlotArray<TenantMeta> metas_;
-  /// Serializes lifecycle (add/remove/start/shutdown) and guards
+  /// Serializes lifecycle (add/remove/swap/start/shutdown) and guards
   /// by_name_; never taken on the event path.
   mutable std::mutex directory_mutex_;
   std::unordered_map<std::string, TenantHandle> by_name_;

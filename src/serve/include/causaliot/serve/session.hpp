@@ -2,14 +2,14 @@
 //
 // A TenantSession bundles everything that is per-home at runtime — the
 // active ModelSnapshot, the EventMonitor (phantom state machine +
-// Algorithm 2 window) built over it, and the alarm post-filter. Sessions
-// are pinned to exactly one shard of the DetectionService: all event
-// processing happens on that shard's worker thread, so the session body
-// needs no locking. The only cross-thread entry point is
-// publish_model(), which stores into the session's ModelSlot; the worker
-// adopts the new snapshot at the next event boundary, transplanting the
-// monitor's runtime state (MonitorState) onto the new graph so no event
-// and no tracked anomaly context is lost across the swap.
+// Algorithm 2 window) built over it, and the alarm post-filter. A
+// DetectionService tenant's directory entry owns its session, and only
+// the owning shard's worker thread ever touches it, so the session body
+// needs no locking and has no cross-thread entry point. A hot swap
+// reaches the worker as a control in the shard FIFO; the worker calls
+// adopt() between two events, transplanting the monitor's runtime state
+// (MonitorState) onto the new graph so no event and no tracked anomaly
+// context is lost across the swap.
 #pragma once
 
 #include <memory>
@@ -44,13 +44,14 @@ class TenantSession {
   const std::string& name() const { return name_; }
   std::size_t device_count() const { return device_count_; }
 
-  /// Thread-safe: publishes a new model for this session. The shard
-  /// worker adopts it before processing its next event.
-  void publish_model(std::shared_ptr<const ModelSnapshot> model);
-
   // --- shard-worker-only interface below ---
 
-  /// Processes one event under the newest published model.
+  /// Switches to `next` between two events: the monitor's runtime state
+  /// moves onto the new graph, so detection continues as if uninterrupted.
+  /// `next` must be non-null with this session's device count.
+  void adopt(std::shared_ptr<const ModelSnapshot> next);
+
+  /// Processes one event under the active model.
   std::optional<detect::AnomalyReport> process(
       const preprocess::BinaryEvent& event);
 
@@ -84,12 +85,10 @@ class TenantSession {
 
  private:
   detect::MonitorConfig monitor_config(const ModelSnapshot& model) const;
-  void adopt(std::shared_ptr<const ModelSnapshot> next);
 
   std::string name_;
   SessionConfig config_;
   std::size_t device_count_ = 0;
-  ModelSlot slot_;
   std::shared_ptr<const ModelSnapshot> active_;
   /// optional<> because EventMonitor holds a reference to the active
   /// graph and must be re-emplaced, not assigned, on adoption.

@@ -20,8 +20,8 @@
 // InteractionGraph that reads the template's base tables through a
 // sparse copy-on-write delta (update_cpts personalizes the delta, never
 // the base; set_causes gives the tenant its own skeleton — see
-// graph/dig.hpp), wrapped in a ModelSnapshot that publishes through the
-// existing ModelSlot unchanged.
+// graph/dig.hpp), wrapped in a ModelSnapshot that add_tenant and
+// swap_model take like any other.
 #pragma once
 
 #include <cstdint>

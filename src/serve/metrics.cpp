@@ -36,7 +36,8 @@ Metrics::Metrics(obs::Registry& registry)
           "Model snapshots published via swap_model")),
       model_swaps_adopted(&registry.counter(
           "serve_model_swaps_adopted_total", {},
-          "Model snapshots adopted at session event boundaries")),
+          "Model snapshots adopted by shard workers, each between two "
+          "events; equals published once the queues drain")),
       latency(&registry.histogram(
           "serve_event_latency_ns", {},
           "Enqueue-to-processed latency per event, nanoseconds")) {}

@@ -72,25 +72,13 @@ TenantHandle DetectionService::add_tenant(
   account_model_locked(handle, model);
   auto session = std::make_unique<TenantSession>(
       name, std::move(model), config_.session, std::move(initial_state));
-  TenantSession* raw_session = session.get();
   obs::Counter* alarms = &registry_->counter(
       "serve_tenant_alarms_total", {{"tenant", name}},
       "Alarms delivered, by tenant");
   health_.add_tenant(handle, name, version);
-  Shard& shard = *shards_[shard_index];
-  if (!started_) {
-    shard.sessions.emplace(handle, std::move(session));
-  } else {
-    // The session travels to its shard as a control message; publishing
-    // the directory entry only afterwards guarantees every event for
-    // this handle lands behind the AddTenant in the shard FIFO.
-    ShardItem item;
-    item.kind = ShardItem::Kind::kAddTenant;
-    item.handle = handle;
-    item.session = std::move(session);
-    shard.queue.push_unbounded(std::move(item));
-  }
-  metas_.emplace(handle, name, shard_index, alarms, raw_session);
+  // Publishing the entry (a release store) hands the built session to
+  // whichever worker later dequeues an item for this handle.
+  metas_.emplace(handle, name, shard_index, alarms, std::move(session));
   by_name_.emplace(std::move(name), handle);
   tenant_limit_.store(handle + 1, std::memory_order_relaxed);
   tenants_active_.fetch_add(1, std::memory_order_relaxed);
@@ -188,38 +176,41 @@ DetectionService::SubmitResult DetectionService::submit(
   return SubmitResult::kClosed;  // unreachable
 }
 
-void DetectionService::swap_model(TenantHandle tenant,
+bool DetectionService::swap_model(TenantHandle tenant,
                                   std::shared_ptr<const ModelSnapshot> model) {
   // Lifecycle lock, not the event path: re-bills the tenant's model
-  // bytes against the new snapshot's components (same lock-then-enqueue
-  // ordering as add_tenant).
+  // bytes against the new snapshot's components. Holding it while
+  // checking `alive` and queueing orders every swap ahead of its
+  // tenant's RemoveTenant control, and ahead of shutdown's queue close.
   std::lock_guard<std::mutex> lock(directory_mutex_);
-  TenantMeta* meta = metas_.get(tenant);
-  CAUSALIOT_CHECK_MSG(meta != nullptr, "unknown tenant handle");
-  if (!meta->alive.load(std::memory_order_acquire)) return;
+  const TenantMeta* meta = metas_.get(tenant);
+  if (stopped_ || meta == nullptr ||
+      !meta->alive.load(std::memory_order_acquire) || model == nullptr ||
+      model->graph.device_count() != meta->device_count) {
+    return false;
+  }
   unaccount_model_locked(tenant);
   account_model_locked(tenant, model);
-  health_.on_published(tenant, model != nullptr ? model->version : 0);
+  health_.on_published(tenant, model->version);
   metrics_.model_swaps_published->increment();
-  // The publication rides the shard FIFO like any other control, so it
-  // can never touch a session the worker has already destroyed; the
-  // session still adopts at its next event boundary after the publish.
   ShardItem item;
   item.kind = ShardItem::Kind::kSwapModel;
   item.handle = tenant;
   item.model = std::move(model);
   shards_[meta->shard]->queue.push_unbounded(std::move(item));
+  return true;
 }
 
-void DetectionService::deliver(TenantHandle handle, TenantSession& session,
+void DetectionService::deliver(TenantHandle handle, TenantMeta& meta,
                                detect::AnomalyReport report) {
+  TenantSession& session = *meta.session;
   const bool collective = report.chain_length() > 1;
   std::optional<detect::SunkAlarm> sunk = session.filter(std::move(report));
   if (!sunk.has_value()) {
     metrics_.alarms_suppressed->increment();
     return;
   }
-  metas_.get(handle)->alarms->increment();
+  meta.alarms->increment();
   health_.on_alarm(handle, collective);
   if (collective) metrics_.alarms_collective->increment();
   switch (sunk->severity) {
@@ -259,43 +250,40 @@ void DetectionService::process_item(Shard& shard, ShardItem& item) {
   // Heartbeat first: a control that deadlocks downstream still proves
   // the worker dequeued it.
   shard.heartbeat.fetch_add(1, std::memory_order_relaxed);
+  // Every item's handle was published before the item was queued, and
+  // controls for a handle are queued only while it is alive — so a
+  // control always finds its session; only events can be orphaned.
+  TenantMeta& meta = *metas_.get(item.handle);
   switch (item.kind) {
-    case ShardItem::Kind::kAddTenant:
-      shard.sessions.emplace(item.handle, std::move(item.session));
-      return;
-    case ShardItem::Kind::kRemoveTenant: {
-      const auto it = shard.sessions.find(item.handle);
-      if (it == shard.sessions.end()) return;
+    case ShardItem::Kind::kRemoveTenant:
       // Clean removal: the pending Algorithm 2 window still fires.
-      if (std::optional<detect::AnomalyReport> tail = it->second->finish()) {
-        deliver(item.handle, *it->second, std::move(*tail));
+      if (std::optional<detect::AnomalyReport> tail = meta.session->finish()) {
+        deliver(item.handle, meta, std::move(*tail));
       }
-      shard.sessions.erase(it);
+      meta.session.reset();
       return;
-    }
-    case ShardItem::Kind::kSwapModel: {
-      const auto it = shard.sessions.find(item.handle);
-      if (it != shard.sessions.end()) {
-        it->second->publish_model(std::move(item.model));
-      }
+    case ShardItem::Kind::kSwapModel:
+      // A dequeued control sits between two events: adopting here is an
+      // event boundary for the session.
+      meta.session->adopt(std::move(item.model));
+      metrics_.model_swaps_adopted->increment();
+      health_.on_adopted(item.handle, meta.session->active_model().version);
       return;
-    }
     case ShardItem::Kind::kEvent:
       break;
   }
-  process_event(shard, item);
-}
-
-void DetectionService::process_event(Shard& shard, ShardItem& item) {
-  const auto found = shard.sessions.find(item.handle);
-  if (found == shard.sessions.end()) {
+  if (meta.session == nullptr) {
     // Queued behind its tenant's RemoveTenant control: counted, never
     // processed (the conservation identity charges these to orphaned).
     shard.orphaned->increment();
     return;
   }
-  TenantSession& session = *found->second;
-  const std::uint64_t before_swaps = session.swaps_adopted();
+  process_event(shard, item, meta);
+}
+
+void DetectionService::process_event(Shard& shard, ShardItem& item,
+                                     TenantMeta& meta) {
+  TenantSession& session = *meta.session;
   if (config_.debug_event_delay_us != 0) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(config_.debug_event_delay_us));
@@ -320,10 +308,6 @@ void DetectionService::process_event(Shard& shard, ShardItem& item) {
     report = session.process(item.event);
   }
 
-  if (session.swaps_adopted() != before_swaps) {
-    metrics_.model_swaps_adopted->add(session.swaps_adopted() - before_swaps);
-    health_.on_adopted(item.handle, session.active_model().version);
-  }
   health_.on_event(item.handle, session.last_score());
   shard.processed->increment();
   const std::uint64_t done_ns = now_ns();
@@ -335,9 +319,9 @@ void DetectionService::process_event(Shard& shard, ShardItem& item) {
                      util::format("\"tenant\": \"%s\"",
                                   util::json_escape(session.name()).c_str()),
                      "serve");
-      deliver(item.handle, session, std::move(*report));
+      deliver(item.handle, meta, std::move(*report));
     } else {
-      deliver(item.handle, session, std::move(*report));
+      deliver(item.handle, meta, std::move(*report));
     }
   }
 }
@@ -376,13 +360,10 @@ void DetectionService::shutdown() {
   // every surviving session, in handle order for determinism.
   const TenantHandle limit = tenant_limit_.load(std::memory_order_relaxed);
   for (TenantHandle handle = 0; handle < limit; ++handle) {
-    const TenantMeta* meta = metas_.get(handle);
-    if (meta == nullptr) continue;
-    auto& sessions = shards_[meta->shard]->sessions;
-    const auto it = sessions.find(handle);
-    if (it == sessions.end()) continue;
-    if (std::optional<detect::AnomalyReport> tail = it->second->finish()) {
-      deliver(handle, *it->second, std::move(*tail));
+    TenantMeta* meta = metas_.get(handle);
+    if (meta == nullptr || meta->session == nullptr) continue;
+    if (std::optional<detect::AnomalyReport> tail = meta->session->finish()) {
+      deliver(handle, *meta, std::move(*tail));
     }
   }
 }

@@ -10,7 +10,6 @@ TenantSession::TenantSession(std::string name,
                              std::vector<std::uint8_t> initial_state)
     : name_(std::move(name)),
       config_(config),
-      slot_(model),
       active_(std::move(model)),
       sink_(config.sink) {
   CAUSALIOT_CHECK_MSG(active_ != nullptr, "session needs an initial model");
@@ -30,14 +29,10 @@ detect::MonitorConfig TenantSession::monitor_config(
   return config;
 }
 
-void TenantSession::publish_model(std::shared_ptr<const ModelSnapshot> model) {
-  CAUSALIOT_CHECK_MSG(model != nullptr, "cannot publish a null model");
-  CAUSALIOT_CHECK_MSG(model->graph.device_count() == device_count_,
-                      "published model device count mismatch");
-  slot_.store(std::move(model));
-}
-
 void TenantSession::adopt(std::shared_ptr<const ModelSnapshot> next) {
+  CAUSALIOT_CHECK_MSG(next != nullptr, "cannot adopt a null model");
+  CAUSALIOT_CHECK_MSG(next->graph.device_count() == device_count_,
+                      "adopted model device count mismatch");
   detect::MonitorState state = monitor_->export_state();
   active_ = std::move(next);
   monitor_.emplace(active_->graph, monitor_config(*active_),
@@ -47,8 +42,6 @@ void TenantSession::adopt(std::shared_ptr<const ModelSnapshot> next) {
 
 std::optional<detect::AnomalyReport> TenantSession::process(
     const preprocess::BinaryEvent& event) {
-  std::shared_ptr<const ModelSnapshot> latest = slot_.load();
-  if (latest.get() != active_.get()) adopt(std::move(latest));
   return monitor_->process(event);
 }
 

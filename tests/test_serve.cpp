@@ -223,7 +223,7 @@ TEST_F(ServeTest, HotSwapMidStreamLosesNoEvents) {
 }
 
 TEST_F(ServeTest, SessionAdoptsPublishedModelAtEventBoundary) {
-  // Deterministic single-threaded view of the swap: after publishing a
+  // Deterministic single-threaded view of the swap: after adopting a
   // snapshot with threshold 1.0 (scores are <= 1, and alarms need a score
   // strictly above the threshold), the session must fall silent — proof
   // the new model actually took over.
@@ -239,9 +239,9 @@ TEST_F(ServeTest, SessionAdoptsPublishedModelAtEventBoundary) {
     alarms_before += session.process(events[j]).has_value();
   }
   ASSERT_GT(alarms_before, 0u);
-  session.publish_model(make_snapshot(experiment_->model.graph,
-                                      /*score_threshold=*/1.0,
-                                      experiment_->model.laplace_alpha, 2));
+  session.adopt(make_snapshot(experiment_->model.graph,
+                              /*score_threshold=*/1.0,
+                              experiment_->model.laplace_alpha, 2));
   std::size_t alarms_after = 0;
   for (std::size_t j = half; j < events.size(); ++j) {
     alarms_after += session.process(events[j]).has_value();

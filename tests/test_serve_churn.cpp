@@ -299,10 +299,10 @@ TEST_F(ChurnTest, SurvivorsUnperturbedAndNothingLost) {
   EXPECT_EQ(stats.tenant_count, 2u);
 
   // Conservation: every queue admission is a processed event, an
-  // orphaned event, or one of the churn controls (kCycles adds +
-  // kCycles removes; the survivors were added pre-start, no control).
+  // orphaned event, or one of the kCycles RemoveTenant controls (adds
+  // publish a ready session and queue nothing).
   EXPECT_EQ(stats.queue_accepted,
-            stats.events_processed + stats.events_orphaned + 2 * kCycles);
+            stats.events_processed + stats.events_orphaned + kCycles);
   // Nothing the producers submitted evaporated: submit() admissions
   // equal processed + orphaned (kBlock: no drops, no rejects).
   EXPECT_EQ(stats.events_submitted,

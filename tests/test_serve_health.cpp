@@ -324,6 +324,71 @@ TEST(Introspection, ModelSwapUpdatesHealthProvenance) {
   service.shutdown();
 }
 
+TEST(Introspection, EveryPublishedSwapIsAdoptedByDrain) {
+  // Back-to-back swaps, a swap right before a removal, and a swap after
+  // shutdown: each accepted swap is one FIFO control the worker adopts,
+  // and a refused one leaves no trace in the counters or the bytes.
+  ServiceConfig config;
+  config.shard_count = 1;
+  DetectionService service(config, [](const ServedAlarm&) {});
+  const TenantHandle a = service.add_tenant("home-a", tiny_snapshot(1), {0, 0});
+  const TenantHandle b = service.add_tenant("home-b", tiny_snapshot(1), {0, 0});
+  EXPECT_TRUE(service.swap_model(a, tiny_snapshot(2)));
+  EXPECT_TRUE(service.swap_model(a, tiny_snapshot(3)));
+  ASSERT_EQ(service.submit(a, {0, 1, 1.0}),
+            DetectionService::SubmitResult::kAccepted);
+  EXPECT_TRUE(service.swap_model(a, tiny_snapshot(4)));
+  EXPECT_TRUE(service.remove_tenant(a));
+  service.start();
+  service.shutdown();
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.model_swaps_published, 3u);
+  EXPECT_EQ(stats.model_swaps_adopted, 3u);
+  EXPECT_EQ(stats.events_processed, 1u);
+  // Three swaps and one remove are the only controls.
+  EXPECT_EQ(stats.queue_accepted,
+            stats.events_processed + stats.events_orphaned + 4);
+
+  const std::size_t resident = service.model_stats().resident_bytes;
+  EXPECT_FALSE(service.swap_model(b, tiny_snapshot(5)));
+  EXPECT_EQ(service.stats().model_swaps_published, 3u);
+  EXPECT_EQ(service.model_stats().resident_bytes, resident);
+  EXPECT_EQ(service.health().view(b).published_version, 1u);
+}
+
+TEST(Introspection, SwapModelRefusesBadInputOnTheCallersThread) {
+  ServiceConfig config;
+  config.shard_count = 1;
+  DetectionService service(config, [](const ServedAlarm&) {});
+  const TenantHandle home =
+      service.add_tenant("home-a", tiny_snapshot(1), {0, 0});
+  const TenantHandle gone =
+      service.add_tenant("home-gone", tiny_snapshot(1), {0, 0});
+  ASSERT_TRUE(service.remove_tenant(gone));
+  service.start();
+  const std::size_t resident = service.model_stats().resident_bytes;
+
+  EXPECT_FALSE(service.swap_model(gone, tiny_snapshot(2)));
+  EXPECT_FALSE(service.swap_model(home + 100, tiny_snapshot(2)));
+  EXPECT_FALSE(
+      service.swap_model(DetectionService::kInvalidTenant, tiny_snapshot(2)));
+  EXPECT_FALSE(service.swap_model(home, nullptr));
+  EXPECT_FALSE(service.swap_model(
+      home, make_snapshot(graph::InteractionGraph(3, 2), 0.9, 0.0, 2)));
+  EXPECT_EQ(service.stats().model_swaps_published, 0u);
+  EXPECT_EQ(service.model_stats().resident_bytes, resident);
+  EXPECT_EQ(service.health().view(home).published_version, 1u);
+
+  // The tenant keeps serving on its original model.
+  ASSERT_EQ(service.submit(home, {0, 1, 1.0}),
+            DetectionService::SubmitResult::kAccepted);
+  service.shutdown();
+  EXPECT_EQ(service.stats().events_processed, 1u);
+  EXPECT_EQ(service.stats().model_swaps_adopted, 0u);
+  EXPECT_EQ(service.session(home).active_model().version, 1u);
+}
+
 TEST(Introspection, GlobalRegistryHostsServiceHealthAfterReset) {
   // The CLI runs against Registry::global(); reset_for_test() isolates
   // this suite from whatever earlier tests recorded there.
