@@ -12,6 +12,9 @@
 //
 // The profile argument supplies the device catalog (column order of the
 // CSV); custom deployments would register their own catalog the same way.
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -142,6 +145,27 @@ void print_stage_table(const obs::Tracer& tracer) {
     std::printf("%-20s %10llu %12.3f\n", name.c_str(),
                 static_cast<unsigned long long>(total.count),
                 static_cast<double>(total.total_ns) / 1e6);
+  }
+}
+
+// The two numbers that show the next training hot spot and any memory
+// creep without a trace dump: the slowest child's Algorithm 1 run and
+// the process's peak resident set so far.
+void print_training_cost(const mining::MiningDiagnostics& diagnostics) {
+  const auto& costs = diagnostics.child_costs;
+  const auto slowest = std::max_element(
+      costs.begin(), costs.end(), [](const auto& a, const auto& b) {
+        return a.seconds < b.seconds;
+      });
+  if (slowest != costs.end()) {
+    std::printf("slowest child %u: %.3f ms, %zu CI tests\n",
+                static_cast<unsigned>(slowest->child),
+                slowest->seconds * 1e3, slowest->tests);
+  }
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    std::printf("peak RSS: %.1f MB\n",
+                static_cast<double>(usage.ru_maxrss) / 1024.0);  // KB
   }
 }
 
@@ -305,7 +329,10 @@ int cmd_train(const Args& args) {
                        obs::Registry::global().to_prometheus())) {
     return 1;
   }
-  if (verbose) print_stage_table(obs::Tracer::global());
+  if (verbose) {
+    print_stage_table(obs::Tracer::global());
+    print_training_cost(model.mining_diagnostics);
+  }
   if (http != nullptr) http->stop();
   return 0;
 }

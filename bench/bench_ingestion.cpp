@@ -78,6 +78,14 @@ const IngestFixture& fixture() {
   return data;
 }
 
+/// Tenant name "t<i>". Built by append: g++ 12 reports a false
+/// -Wrestrict inside `"t" + std::to_string(i)` once it is inlined here.
+std::string tenant_name(std::size_t i) {
+  std::string name = "t";
+  name += std::to_string(i);
+  return name;
+}
+
 /// Pre-rendered JSONL chunk: `lines` events round-robin over `tenants`
 /// tenant names ("t0".."tN-1"), cycling the fixture event stream.
 std::string render_lines(std::size_t lines, std::size_t tenants,
@@ -179,7 +187,7 @@ void BM_IngestTcpSoak(benchmark::State& state) {
         serve::make_snapshot(data.model.graph, data.model.score_threshold,
                              data.model.laplace_alpha, 1);
     for (std::size_t i = 0; i < tenant_count; ++i) {
-      service.add_tenant("t" + std::to_string(i), snapshot,
+      service.add_tenant(tenant_name(i), snapshot,
                          data.initial_state);
     }
     serve::IngestConfig ingest_config;
@@ -253,7 +261,7 @@ void BM_IngestChurnSoak(benchmark::State& state) {
         serve::make_snapshot(data.model.graph, data.model.score_threshold,
                              data.model.laplace_alpha, 1);
     for (std::size_t i = 0; i < kTenants; ++i) {
-      service.add_tenant("t" + std::to_string(i), snapshot,
+      service.add_tenant(tenant_name(i), snapshot,
                          data.initial_state);
     }
     serve::IngestConfig ingest_config;

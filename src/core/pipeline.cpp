@@ -32,6 +32,8 @@ TrainedModel Pipeline::train(const telemetry::EventLog& log) const {
   }();
   const std::size_t lag =
       config_.max_lag > 0 ? config_.max_lag : pre.lag;
+  // Mining reads only the series: free the sanitized event list first.
+  pre.sanitized_events = std::vector<preprocess::BinaryEvent>();
   TrainedModel model = train_on_series(pre.series, lag);
   model.discretization = std::move(pre.discretization);
   return model;

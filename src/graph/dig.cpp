@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "causaliot/util/strings.hpp"
@@ -184,6 +186,10 @@ std::string InteractionGraph::to_dot(
 util::Status InteractionGraph::save(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return util::Error::io_error("cannot open " + path);
+  // Counts at max_digits10 round-trip exactly; at the default 6 digits
+  // decayed (fractional) and >= 1e6 counts lost digits. Integral counts
+  // below 1e6 print as before, with no exponent and no decimals.
+  out << std::setprecision(std::numeric_limits<double>::max_digits10);
   out << "dig v1 " << device_count() << ' ' << max_lag() << '\n';
   for (telemetry::DeviceId child = 0; child < device_count(); ++child) {
     const Cpt& cpt = this->cpt(child);

@@ -79,10 +79,21 @@ struct RemovalRecord {
   std::vector<graph::LaggedNode> separating_set;
 };
 
+/// Cost of one child's Algorithm 1 run: where mining time goes.
+struct ChildCost {
+  telemetry::DeviceId child = telemetry::kInvalidDevice;
+  /// CI tests run for this child, over all levels.
+  std::size_t tests = 0;
+  /// Wall time of the run (the only non-deterministic diagnostic).
+  double seconds = 0.0;
+};
+
 struct MiningDiagnostics {
   std::size_t tests_run = 0;
   std::size_t candidate_edges = 0;
   std::vector<RemovalRecord> removals;
+  /// One entry per discovered child, in child order.
+  std::vector<ChildCost> child_costs;
 
   std::size_t removed_marginal() const;
   std::size_t removed_conditional() const;

@@ -1,7 +1,12 @@
 #include "causaliot/mining/temporal_pc.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "causaliot/mining/cause_set.hpp"
 #include "causaliot/obs/trace.hpp"
@@ -152,6 +157,7 @@ std::vector<graph::LaggedNode> discover_causes_cached(
     const MinerConfig& config, const preprocess::StateSeries& series,
     telemetry::DeviceId child, MiningDiagnostics* diagnostics,
     const ColumnCache& cache, stats::CiTestContext& context) {
+  const auto started = std::chrono::steady_clock::now();
   const std::size_t n = series.device_count();
   const std::size_t tau = config.max_lag;
   CAUSALIOT_CHECK(child < n);
@@ -348,6 +354,17 @@ std::vector<graph::LaggedNode> discover_causes_cached(
   }
   if (batch.has_value()) tally.batch_passes = batch->pass_count();
   tally.flush(metrics_for(config));
+  if (diagnostics != nullptr) {
+    ChildCost cost;
+    cost.child = child;
+    for (const std::uint64_t tests : tally.tests_per_level) {
+      cost.tests += static_cast<std::size_t>(tests);
+    }
+    cost.seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - started)
+                       .count();
+    diagnostics->child_costs.push_back(cost);
+  }
 
   // CauseSet iterates lag-major, which is already LaggedNode's canonical
   // order; the sort stays as a belt-and-braces invariant.
@@ -428,6 +445,19 @@ graph::InteractionGraph InteractionMiner::mine(
         diagnostics != nullptr ? &diagnostics_per_child[child] : nullptr,
         cache, context);
   });
+#if defined(__GLIBC__)
+  // Hand the fan-out's freed scratch back to the OS. The workers
+  // allocate each child's CI scratch (the batched-CI memo, about 5.7k
+  // entries and 2.5k masks for the heaviest child of the 28-day
+  // ContextAct trace, plus the counting buffers) from glibc's
+  // per-thread arenas. The main thread's growing vectors raise the
+  // dynamic mmap threshold to about 8 MB, and with it the trim
+  // threshold, so those arenas never shrink on their own: after 12
+  // train runs each of 4 worker arenas held about 7.8 MB, over 99%
+  // free, and process RSS crept up about 3.5 MB per run to about 56 MB.
+  // One trim here held the peak at about 37 MB.
+  malloc_trim(0);
+#endif
 
   for (telemetry::DeviceId child = 0; child < n; ++child) {
     graph.set_causes(child, std::move(causes_per_child[child]));
@@ -439,6 +469,9 @@ graph::InteractionGraph InteractionMiner::mine(
           diagnostics->removals.end(),
           std::make_move_iterator(local.removals.begin()),
           std::make_move_iterator(local.removals.end()));
+      diagnostics->child_costs.insert(diagnostics->child_costs.end(),
+                                      local.child_costs.begin(),
+                                      local.child_costs.end());
     }
   }
   estimate_cpts(series, graph, pool);

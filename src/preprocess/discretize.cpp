@@ -13,29 +13,30 @@ DiscretizationModel DiscretizationModel::fit(const telemetry::EventLog& log) {
   DiscretizationModel model;
   model.models_.resize(n);
 
-  std::vector<std::vector<double>> readings(n);
+  // Streaming statistics per device; only an ambient device's inliers
+  // are ever held as a list, one device at a time.
+  std::vector<stats::RunningStats> running(n);
   for (const telemetry::DeviceEvent& event : log.events()) {
-    readings[event.device].push_back(event.value);
+    running[event.device].add(event.value);
   }
 
   for (telemetry::DeviceId id = 0; id < n; ++id) {
     DeviceModel& dm = model.models_[id];
     dm.value_type = log.catalog().info(id).value_type;
-    stats::RunningStats running;
-    for (double v : readings[id]) running.add(v);
-    dm.training_mean = running.mean();
-    dm.training_stddev = running.stddev();
-    dm.training_count = running.count();
+    dm.training_mean = running[id].mean();
+    dm.training_stddev = running[id].stddev();
+    dm.training_count = running[id].count();
 
     if (dm.value_type == telemetry::ValueType::kAmbientNumeric &&
-        !readings[id].empty()) {
+        running[id].count() > 0) {
       // Sanitation precedes type unification (§V-A): extreme glitches must
       // not enter the natural-breaks optimization, or the far-out cluster
       // absorbs one class and the split degenerates.
       std::vector<double> inliers;
-      inliers.reserve(readings[id].size());
-      for (double v : readings[id]) {
-        if (running.within_sigma(v, 3.0)) inliers.push_back(v);
+      for (const telemetry::DeviceEvent& event : log.events()) {
+        if (event.device == id && running[id].within_sigma(event.value, 3.0)) {
+          inliers.push_back(event.value);
+        }
       }
       if (!inliers.empty()) {
         stats::RunningStats inlier_stats;

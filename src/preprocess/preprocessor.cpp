@@ -14,8 +14,9 @@ std::vector<BinaryEvent> Preprocessor::sanitize(
   CAUSALIOT_CHECK_MSG(initial_state.size() == log.catalog().size(),
                       "initial state size mismatch");
   std::vector<std::uint8_t> current = initial_state;
+  // No reserve: on ContextAct traces sanitation keeps about one event in
+  // ten, so sizing for the whole log would hold ten times the memory.
   std::vector<BinaryEvent> sanitized;
-  sanitized.reserve(log.size());
   std::size_t duplicates = 0;
   std::size_t extremes = 0;
 

@@ -46,18 +46,36 @@ StratumCounts CiTestContext::count_strata(
   const std::size_t n = x.size();
   const std::size_t stratum_count = std::size_t{1} << z.size();
 
+  // Phase 1: each row's cell index key * 4 + x * 2 + y, one column at a
+  // time. The column loops have no branch and no cross-row dependency,
+  // so they vectorize; validation is one OR per column, checked after
+  // its loop, so a non-binary byte aborts before any count is read.
+  if (cells_.size() < n) cells_.resize(n);
+  std::uint32_t* const cells = cells_.data();
+  const std::uint8_t* const xs = x.data();
+  const std::uint8_t* const ys = y.data();
+  std::uint8_t seen = 0;
+  for (std::size_t row = 0; row < n; ++row) {
+    cells[row] = static_cast<std::uint32_t>(xs[row] * 2 + ys[row]);
+    seen |= xs[row] | ys[row];
+  }
+  CAUSALIOT_CHECK_MSG(seen <= 1, "non-binary test value");
+  for (std::size_t j = 0; j < z.size(); ++j) {
+    const std::uint8_t* const zs = z[j].data();
+    const unsigned shift = static_cast<unsigned>(j) + 2;
+    seen = 0;
+    for (std::size_t row = 0; row < n; ++row) {
+      cells[row] |= static_cast<std::uint32_t>(zs[row]) << shift;
+      seen |= zs[row];
+    }
+    CAUSALIOT_CHECK_MSG(seen <= 1, "non-binary conditioning value");
+  }
+
+  // Phase 2: one histogram pass over the cell indices.
   if (stratum_count <= kDenseStrataLimit) {
     // Dense: the full clear is a small bounded memset.
     counts_.assign(stratum_count * 4, 0);
-    for (std::size_t row = 0; row < n; ++row) {
-      std::size_t key = 0;
-      for (std::size_t j = 0; j < z.size(); ++j) {
-        CAUSALIOT_CHECK_MSG(z[j][row] <= 1, "non-binary conditioning value");
-        key |= static_cast<std::size_t>(z[j][row]) << j;
-      }
-      CAUSALIOT_CHECK_MSG(x[row] <= 1 && y[row] <= 1, "non-binary test value");
-      ++counts_[key * 4 + static_cast<std::size_t>(x[row]) * 2 + y[row]];
-    }
+    for (std::size_t row = 0; row < n; ++row) ++counts_[cells[row]];
     return {{counts_.data(), stratum_count * 4}, {}, true};
   }
 
@@ -70,19 +88,14 @@ StratumCounts CiTestContext::count_strata(
   ++epoch_;
   touched_.clear();
   for (std::size_t row = 0; row < n; ++row) {
-    std::size_t key = 0;
-    for (std::size_t j = 0; j < z.size(); ++j) {
-      CAUSALIOT_CHECK_MSG(z[j][row] <= 1, "non-binary conditioning value");
-      key |= static_cast<std::size_t>(z[j][row]) << j;
-    }
-    CAUSALIOT_CHECK_MSG(x[row] <= 1 && y[row] <= 1, "non-binary test value");
+    const std::uint32_t key = cells[row] >> 2;
     if (stamps_[key] != epoch_) {
       stamps_[key] = epoch_;
       counts_[key * 4 + 0] = counts_[key * 4 + 1] = 0;
       counts_[key * 4 + 2] = counts_[key * 4 + 3] = 0;
-      touched_.push_back(static_cast<std::uint32_t>(key));
+      touched_.push_back(key);
     }
-    ++counts_[key * 4 + static_cast<std::size_t>(x[row]) * 2 + y[row]];
+    ++counts_[cells[row]];
   }
   // Rows arrive in stream order; the result contract is ascending keys
   // (the order the dense iteration would visit them).

@@ -13,10 +13,15 @@
 //     word r/64 = row r, the util/bitkey.hpp convention). For small |Z|
 //     the counting kernel then processes 64 rows per step with bitwise
 //     AND + popcount instead of a per-row inner loop over Z.
-//   * Above kDenseStrataLimit strata the per-row kernel counts sparsely:
-//     instead of zero-filling the whole 4·2^|Z| table per call, touched
-//     stratum keys are epoch-stamped and zeroed on first touch, so a
-//     high-|Z| test pays O(touched) rather than O(2^|Z|) setup.
+//   * The per-row kernel (the path above kPackedConditioningLimit) runs
+//     in two phases: it first builds every row's cell index
+//     key·4 + x·2 + y one column at a time (branch-free loops the
+//     compiler vectorizes, validated by one OR per column), then counts
+//     the indices in a single histogram pass.
+//   * Above kDenseStrataLimit strata that histogram is sparse: instead
+//     of zero-filling the whole 4·2^|Z| table per call, touched stratum
+//     keys are epoch-stamped and zeroed on first touch, so a high-|Z|
+//     test pays O(touched) rather than O(2^|Z|) setup.
 //
 // Counts are exact integers, so both paths produce bit-identical test
 // statistics to the original per-row double accumulation. Multi-subset
@@ -91,6 +96,9 @@ class CiTestContext {
   /// Buckets rows into 2^|z| strata and counts the 2x2 table per stratum.
   /// The returned view is valid until the next call. Column lengths must
   /// match; |z| <= 20 (CHECKed by callers before the buffer is sized).
+  /// Every value must be 0 or 1: a non-binary x or y aborts with
+  /// "non-binary test value", a non-binary z column with "non-binary
+  /// conditioning value".
   StratumCounts count_strata(
       std::span<const std::uint8_t> x, std::span<const std::uint8_t> y,
       std::span<const std::span<const std::uint8_t>> z);
@@ -103,6 +111,8 @@ class CiTestContext {
 
  private:
   std::vector<std::uint64_t> counts_;
+  // Per-row kernel: each row's cell index key * 4 + x * 2 + y.
+  std::vector<std::uint32_t> cells_;
   // Sparse path: stamps_[key] == epoch_ marks keys already zeroed this
   // call; touched_ lists them for the sorted result view.
   std::vector<std::uint64_t> stamps_;

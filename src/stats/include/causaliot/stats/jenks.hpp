@@ -1,34 +1,23 @@
-// Fisher–Jenks natural-breaks optimization for 1-D discretization.
+// Two-class Fisher–Jenks natural break for 1-D discretization.
 //
 // The Event Preprocessor (§V-A) unifies ambient-numeric device states
 // (brightness, temperature) to binary Low/High by splitting at the natural
-// break that minimizes within-class variance. This is the exact
-// dynamic-programming formulation (Fisher 1958, Jenks 1967), O(k * n^2)
-// over the sorted distinct values — fine for per-device reading sets.
+// break that minimizes within-class variance. With two classes the exact
+// optimum (Fisher 1958, Jenks 1967) is one scan over the m sorted distinct
+// values: every cut's two within-class sums of squared errors come from
+// prefix sums in O(1), so the search is O(m) after an O(n log n) sort.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "causaliot/util/result.hpp"
 
 namespace causaliot::stats {
 
-struct JenksBreaks {
-  /// Upper bound (inclusive) of each class except the last; size k-1.
-  /// A value v belongs to class i where i is the first break with
-  /// v <= breaks[i], else the last class.
-  std::vector<double> breaks;
-  /// Goodness of variance fit in [0, 1]; 1 means perfect separation.
-  double goodness_of_fit = 0.0;
-};
-
-/// Computes natural breaks for `class_count` >= 2 classes.
-/// Fails if values has fewer distinct values than class_count.
-util::Result<JenksBreaks> jenks_natural_breaks(std::span<const double> values,
-                                               std::size_t class_count);
-
-/// Convenience: the single Low/High cut point (class_count = 2).
+/// The Low/High cut point: the last (largest) value of the low class, so
+/// a value v is Low iff v <= threshold. Among cuts with equal total
+/// within-class SSE the lowest wins. Fails on empty input or fewer than
+/// two distinct values.
 util::Result<double> jenks_binary_threshold(std::span<const double> values);
 
 }  // namespace causaliot::stats

@@ -1,102 +1,73 @@
 #include "causaliot/stats/jenks.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <map>
+#include <optional>
+#include <vector>
 
 namespace causaliot::stats {
 
-namespace {
-
-struct WeightedValues {
-  std::vector<double> value;   // sorted distinct values
-  std::vector<double> weight;  // occurrence counts
-};
-
-WeightedValues compress(std::span<const double> values) {
-  std::map<double, double> counts;
-  for (double v : values) counts[v] += 1.0;
-  WeightedValues out;
-  out.value.reserve(counts.size());
-  out.weight.reserve(counts.size());
-  for (const auto& [v, w] : counts) {
-    out.value.push_back(v);
-    out.weight.push_back(w);
-  }
-  return out;
-}
-
-}  // namespace
-
-util::Result<JenksBreaks> jenks_natural_breaks(std::span<const double> values,
-                                               std::size_t class_count) {
-  if (class_count < 2) {
-    return util::Error::invalid_argument("class_count must be >= 2");
-  }
+util::Result<double> jenks_binary_threshold(std::span<const double> values) {
   if (values.empty()) {
     return util::Error::invalid_argument("empty value set");
   }
-  const WeightedValues wv = compress(values);
-  const std::size_t m = wv.value.size();
-  if (m < class_count) {
+  // The distinct values are the runs of the sorted copy. The sort is
+  // stable so that among values that compare equal (-0.0 and 0.0) the
+  // first seen represents the run.
+  std::vector<double> sorted(values.begin(), values.end());
+  std::stable_sort(sorted.begin(), sorted.end());
+  const auto for_each_distinct = [&](auto&& visit) {
+    for (std::size_t i = 0; i < sorted.size();) {
+      std::size_t run = i + 1;
+      while (run < sorted.size() && sorted[run] == sorted[i]) ++run;
+      visit(sorted[i], static_cast<double>(run - i));
+      i = run;
+    }
+  };
+
+  // Weighted totals, accumulated in the same order as the running prefix
+  // sums below, so both passes produce the same doubles.
+  std::size_t m = 0;
+  double total_w = 0.0, total_wv = 0.0, total_wv2 = 0.0;
+  for_each_distinct([&](double v, double w) {
+    ++m;
+    total_w += w;
+    total_wv += w * v;
+    total_wv2 += w * v * v;
+  });
+  if (m < 2) {
     return util::Error::failed_precondition(
         "fewer distinct values than classes");
   }
 
-  // Prefix sums for O(1) within-class sum of squared errors.
-  std::vector<double> pw(m + 1, 0.0), pwv(m + 1, 0.0), pwv2(m + 1, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    pw[i + 1] = pw[i] + wv.weight[i];
-    pwv[i + 1] = pwv[i] + wv.weight[i] * wv.value[i];
-    pwv2[i + 1] = pwv2[i] + wv.weight[i] * wv.value[i] * wv.value[i];
-  }
-  // SSE of the class covering distinct indices [i, j] inclusive.
-  const auto sse = [&](std::size_t i, std::size_t j) {
-    const double w = pw[j + 1] - pw[i];
-    const double s = pwv[j + 1] - pwv[i];
-    const double s2 = pwv2[j + 1] - pwv2[i];
+  // SSE of a class from its weight, weighted sum and weighted sum of
+  // squares.
+  const auto sse = [](double w, double s, double s2) {
     return s2 - s * s / w;
   };
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // cost[c][j]: minimal SSE splitting prefix [0..j] into c+1 classes.
-  std::vector<std::vector<double>> cost(class_count,
-                                        std::vector<double>(m, kInf));
-  std::vector<std::vector<std::size_t>> cut(class_count,
-                                            std::vector<std::size_t>(m, 0));
-  for (std::size_t j = 0; j < m; ++j) cost[0][j] = sse(0, j);
-  for (std::size_t c = 1; c < class_count; ++c) {
-    for (std::size_t j = c; j < m; ++j) {
-      for (std::size_t i = c; i <= j; ++i) {
-        const double candidate = cost[c - 1][i - 1] + sse(i, j);
-        if (candidate < cost[c][j]) {
-          cost[c][j] = candidate;
-          cut[c][j] = i;  // class c starts at distinct index i
-        }
-      }
+  // Cutting after a distinct value puts it and everything below in the
+  // low class. The strict < keeps the first minimum, so ties resolve to
+  // the lowest threshold.
+  double best = std::numeric_limits<double>::infinity();
+  std::optional<double> threshold;
+  std::size_t seen = 0;
+  double w = 0.0, wv = 0.0, wv2 = 0.0;
+  for_each_distinct([&](double v, double weight) {
+    w += weight;
+    wv += weight * v;
+    wv2 += weight * v * v;
+    if (++seen == m) return;  // the high class may not be empty
+    const double candidate =
+        sse(w, wv, wv2) + sse(total_w - w, total_wv - wv, total_wv2 - wv2);
+    if (candidate < best) {
+      best = candidate;
+      threshold = v;
     }
+  });
+  if (!threshold) {
+    return util::Error::failed_precondition("no finite two-class split");
   }
-
-  JenksBreaks result;
-  result.breaks.resize(class_count - 1);
-  std::size_t j = m - 1;
-  for (std::size_t c = class_count - 1; c >= 1; --c) {
-    const std::size_t start = cut[c][j];
-    result.breaks[c - 1] = wv.value[start - 1];  // last value of class c-1
-    j = start - 1;
-  }
-
-  const double total_sse = sse(0, m - 1);
-  result.goodness_of_fit =
-      total_sse > 0.0 ? 1.0 - cost[class_count - 1][m - 1] / total_sse : 1.0;
-  return result;
-}
-
-util::Result<double> jenks_binary_threshold(std::span<const double> values) {
-  auto breaks = jenks_natural_breaks(values, 2);
-  if (!breaks.ok()) return breaks.error();
-  return breaks.value().breaks[0];
+  return *threshold;
 }
 
 }  // namespace causaliot::stats

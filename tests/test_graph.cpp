@@ -151,6 +151,20 @@ TEST_F(GraphFileTest, SaveLoadRoundTrip) {
   EXPECT_DOUBLE_EQ(loaded.value().cpt(2).support(key), 2.0);
 }
 
+TEST_F(GraphFileTest, SaveKeepsLargeAndFractionalCountsExact) {
+  // 1234567 has 7 significant digits and 0.1234567 is what a decayed
+  // table holds; both must survive save/load bit for bit.
+  InteractionGraph graph = demo_graph();
+  const util::BitKey key = graph.cpt(2).pack({1, 0, 1});
+  graph.cpt(2).set_counts(key.raw(), 1234567.0, 0.1234567);
+  ASSERT_TRUE(graph.save(path_.string()).ok());
+
+  const auto loaded = InteractionGraph::load(path_.string());
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().cpt(2).counts(), graph.cpt(2).counts());
+  EXPECT_EQ(loaded.value().cpt(2).support(key), 1234567.0 + 0.1234567);
+}
+
 TEST_F(GraphFileTest, LoadRejectsCorruptHeader) {
   std::ofstream(path_) << "not a dig file\n";
   EXPECT_FALSE(InteractionGraph::load(path_.string()).ok());

@@ -276,6 +276,26 @@ TEST(TemporalPC, MetricsLandInInjectedRegistry) {
             graph.device_count() * (series.length() - config.max_lag));
 }
 
+TEST(TemporalPC, ChildCostsCoverEveryChildInOrder) {
+  const StateSeries series = chain_series(500, 0.05, 9);
+  MinerConfig config;
+  config.max_lag = 1;
+  config.threads = 4;
+  const InteractionMiner miner(config);
+  MiningDiagnostics diagnostics;
+  miner.mine(series, &diagnostics);
+  ASSERT_EQ(diagnostics.child_costs.size(), series.device_count());
+  std::size_t tests = 0;
+  for (std::size_t child = 0; child < series.device_count(); ++child) {
+    const ChildCost& cost = diagnostics.child_costs[child];
+    EXPECT_EQ(cost.child, child);
+    EXPECT_GT(cost.tests, 0u);
+    EXPECT_GE(cost.seconds, 0.0);
+    tests += cost.tests;
+  }
+  EXPECT_EQ(tests, diagnostics.tests_run);
+}
+
 TEST(TemporalPC, CiBatchingOffDispatchesToPackedKernel) {
   const StateSeries series = chain_series(500, 0.05, 9);
   obs::Registry registry;

@@ -227,8 +227,9 @@ TEST_F(ChurnTest, SurvivorsUnperturbedAndNothingLost) {
   ingest.model = snapshot();
   ingest.initial_state = initial_state;
   IngestRouter router(service, experiment_->catalog(), std::move(ingest));
+  net::LineServerConfig line_config;
   net::LineProtocolServer tcp(
-      {}, [&router](std::string_view line) {
+      line_config, [&router](std::string_view line) {
         return IngestRouter::response_line(router.handle_line(line));
       });
 

@@ -327,6 +327,88 @@ TEST(CiTestContext, ByteKernelReuseAcrossSizesIsIdentical) {
   EXPECT_EQ(a.p_value, b.p_value);
 }
 
+// The per-row byte kernel against a naive row-by-row count, at the
+// conditioning sizes the miner sends it: |Z| = 7, 8 (dense table) and
+// 9, 10 (sparse, epoch-stamped). Column 2 is constant zero, so every
+// stratum with key bit 0 set never occurs; the skewed columns leave more
+// empty strata on top.
+TEST(CiTestContext, ByteKernelMatchesNaivePerRowCounts) {
+  util::Rng rng(67);
+  const std::size_t n = 2501;  // not a multiple of any vector width
+  constexpr std::size_t kMaxZ = 10;
+  std::vector<Column> columns = random_columns(kMaxZ + 2, n, rng, 0.2);
+  std::fill(columns[2].begin(), columns[2].end(), 0);
+
+  CiTestContext context;
+  for (const std::size_t size : {7, 8, 9, 10, 7}) {
+    std::vector<std::span<const std::uint8_t>> z;
+    for (std::size_t j = 0; j < size; ++j) z.push_back(columns[2 + j]);
+
+    const std::size_t strata = std::size_t{1} << size;
+    std::vector<std::uint64_t> naive(strata * 4, 0);
+    for (std::size_t row = 0; row < n; ++row) {
+      std::size_t key = 0;
+      for (std::size_t j = 0; j < size; ++j) {
+        key |= static_cast<std::size_t>(z[j][row]) << j;
+      }
+      ++naive[key * 4 + columns[0][row] * 2 + columns[1][row]];
+    }
+    std::vector<std::uint32_t> occurring;
+    for (std::size_t key = 0; key < strata; ++key) {
+      if (naive[key * 4] + naive[key * 4 + 1] + naive[key * 4 + 2] +
+              naive[key * 4 + 3] >
+          0) {
+        occurring.push_back(static_cast<std::uint32_t>(key));
+      }
+    }
+    ASSERT_LT(occurring.size(), strata / 2) << "size " << size;
+
+    const StratumCounts counts =
+        context.count_strata(columns[0], columns[1], z);
+    EXPECT_EQ(counts.dense, strata <= kDenseStrataLimit) << "size " << size;
+    if (counts.dense) {
+      ASSERT_EQ(counts.counts.size(), strata * 4);
+      EXPECT_TRUE(std::equal(naive.begin(), naive.end(),
+                             counts.counts.begin()))
+          << "size " << size;
+    } else {
+      EXPECT_TRUE(std::equal(occurring.begin(), occurring.end(),
+                             counts.keys.begin(), counts.keys.end()))
+          << "size " << size;
+      for (const std::uint32_t key : counts.keys) {
+        for (std::size_t cell = 0; cell < 4; ++cell) {
+          EXPECT_EQ(counts.counts[key * 4 + cell], naive[key * 4 + cell])
+              << "size " << size << " key " << key;
+        }
+      }
+    }
+  }
+}
+
+TEST(CiTestContextDeathTest, ByteKernelRejectsNonBinaryValues) {
+  util::Rng rng(71);
+  const std::size_t n = 1001;
+  const std::vector<Column> columns = random_columns(9, n, rng, 0.5);
+  std::vector<std::span<const std::uint8_t>> z;
+  for (std::size_t j = 2; j < 9; ++j) z.push_back(columns[j]);  // |Z| = 7
+
+  Column bad = columns[0];
+  bad[n - 1] = 2;  // in the scalar tail after any vector body
+  CiTestContext context;
+  EXPECT_DEATH(context.count_strata(bad, columns[1], z),
+               "non-binary test value");
+  EXPECT_DEATH(context.count_strata(columns[0], bad, z),
+               "non-binary test value");
+  std::vector<std::span<const std::uint8_t>> bad_z = z;
+  bad_z[4] = bad;
+  EXPECT_DEATH(context.count_strata(columns[0], columns[1], bad_z),
+               "non-binary conditioning value");
+  bad[n - 1] = 1;
+  bad[0] = 255;
+  EXPECT_DEATH(context.count_strata(columns[0], columns[1], bad_z),
+               "non-binary conditioning value");
+}
+
 TEST(BatchCi, EmptyUniverseRejectedAndZeroSamplesShortCircuit) {
   Column empty_column;
   std::vector<PackedColumn> packed;
