@@ -148,9 +148,10 @@ void print_stage_table(const obs::Tracer& tracer) {
   }
 }
 
-// The two numbers that show the next training hot spot and any memory
-// creep without a trace dump: the slowest child's Algorithm 1 run and
-// the process's peak resident set so far.
+// The numbers that show the next training hot spot and any memory creep
+// without a trace dump: the slowest child's Algorithm 1 run level by
+// level, the speculative tests the mine threw away, and the process's
+// peak resident set so far.
 void print_training_cost(const mining::MiningDiagnostics& diagnostics) {
   const auto& costs = diagnostics.child_costs;
   const auto slowest = std::max_element(
@@ -161,7 +162,16 @@ void print_training_cost(const mining::MiningDiagnostics& diagnostics) {
     std::printf("slowest child %u: %.3f ms, %zu CI tests\n",
                 static_cast<unsigned>(slowest->child),
                 slowest->seconds * 1e3, slowest->tests);
+    std::printf("%8s %10s %12s %10s\n", "level", "tests", "ms",
+                "discarded");
+    for (std::size_t l = 0; l < slowest->levels.size(); ++l) {
+      const mining::LevelCost& level = slowest->levels[l];
+      std::printf("%8zu %10zu %12.3f %10zu\n", l, level.tests,
+                  level.seconds * 1e3, level.discarded);
+    }
   }
+  std::printf("speculative CI tests discarded: %zu\n",
+              diagnostics.discarded_tests());
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) == 0) {
     std::printf("peak RSS: %.1f MB\n",

@@ -15,7 +15,9 @@
 #include "causaliot/detect/monitor.hpp"
 #include "causaliot/mining/temporal_pc.hpp"
 #include "causaliot/obs/trace.hpp"
+#include "causaliot/preprocess/preprocessor.hpp"
 #include "causaliot/preprocess/series.hpp"
+#include "causaliot/sim/simulator.hpp"
 #include "causaliot/stats/gsquare.hpp"
 #include "causaliot/stats/simd_backend.hpp"
 #include "causaliot/util/rng.hpp"
@@ -364,6 +366,76 @@ void register_simd_benchmarks() {
                                  BM_PerSubsetCISimd, backend);
   }
 }
+
+// The per-row kernel at the levels above kPackedConditioningLimit, on
+// the columns it sees in training: the 28-day ContextAct trace
+// (simulated with seed 1 and preprocessed once, 16,212 rows at lag 1).
+// One iteration walks every l-subset of a 14-column pool of lagged
+// states in lexicographic order, the miner's order, for one (x, y) pair;
+// items = CI tests. BM_HighLevelCI passes the walk's kept prefix, so a
+// test refolds only the columns past the first changed index;
+// BM_HighLevelCIFromScratch folds all l columns per test.
+constexpr std::size_t kHighLevelPool = 14;
+
+const preprocess::StateSeries& contextact_series() {
+  static const preprocess::StateSeries series = [] {
+    sim::HomeProfile profile = sim::contextact_profile();
+    profile.days = 28;
+    sim::SmartHomeSimulator simulator(std::move(profile), 1);
+    return preprocess::Preprocessor().run(simulator.run().log).series;
+  }();
+  return series;
+}
+
+void run_high_level_walk(benchmark::State& bench_state, bool reuse_prefix) {
+  const auto level = static_cast<std::size_t>(bench_state.range(0));
+  const preprocess::StateSeries& series = contextact_series();
+  const auto y = series.lagged_column(2, 0, 1);
+  const auto x = series.lagged_column(3, 1, 1);
+  std::vector<std::span<const std::uint8_t>> pool;
+  for (telemetry::DeviceId d = 4; d < 4 + kHighLevelPool; ++d) {
+    pool.push_back(series.lagged_column(d, 1, 1));
+  }
+  stats::CiTestContext context;
+  std::vector<std::size_t> subset(level);
+  std::vector<std::span<const std::uint8_t>> z(level);
+  std::size_t tests = 0;
+  for (auto _ : bench_state) {
+    tests = 0;
+    for (std::size_t i = 0; i < level; ++i) subset[i] = i;
+    std::size_t reuse = 0;
+    while (true) {
+      for (std::size_t i = 0; i < level; ++i) z[i] = pool[subset[i]];
+      benchmark::DoNotOptimize(stats::g_square_test(
+          x, y, z, {}, context, reuse_prefix ? reuse : 0));
+      ++tests;
+      // Lexicographic successor: index i - 1 is the first that changes,
+      // so the walk keeps depths 0..i - 1 (x and y plus z[0..i - 1)).
+      std::size_t i = level;
+      while (i > 0 && subset[i - 1] == i - 1 + kHighLevelPool - level) --i;
+      if (i == 0) break;
+      ++subset[i - 1];
+      for (std::size_t j = i; j < level; ++j) subset[j] = subset[j - 1] + 1;
+      reuse = i;
+    }
+  }
+  bench_state.counters["ci_tests"] = static_cast<double>(tests);
+  bench_state.SetItemsProcessed(
+      static_cast<std::int64_t>(bench_state.iterations()) *
+      static_cast<std::int64_t>(tests));
+}
+
+void BM_HighLevelCI(benchmark::State& bench_state) {
+  run_high_level_walk(bench_state, true);
+}
+BENCHMARK(BM_HighLevelCI)->DenseRange(7, 10)->Unit(benchmark::kMillisecond);
+
+void BM_HighLevelCIFromScratch(benchmark::State& bench_state) {
+  run_high_level_walk(bench_state, false);
+}
+BENCHMARK(BM_HighLevelCIFromScratch)
+    ->DenseRange(7, 10)
+    ->Unit(benchmark::kMillisecond);
 
 // Full training pass with span tracing on: the per-stage counters are the
 // tracer's aggregated span totals divided by iteration count, so

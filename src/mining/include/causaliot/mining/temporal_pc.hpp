@@ -79,13 +79,27 @@ struct RemovalRecord {
   std::vector<graph::LaggedNode> separating_set;
 };
 
+/// Cost of one conditioning level of one child's run.
+struct LevelCost {
+  /// CI tests counted: the tests the serial walk runs.
+  std::size_t tests = 0;
+  /// Tests evaluated speculatively past a parent's deciding subset and
+  /// thrown away. Always 0 without a pool; never part of `tests`.
+  std::size_t discarded = 0;
+  /// Wall time of the level (non-deterministic).
+  double seconds = 0.0;
+};
+
 /// Cost of one child's Algorithm 1 run: where mining time goes.
 struct ChildCost {
   telemetry::DeviceId child = telemetry::kInvalidDevice;
   /// CI tests run for this child, over all levels.
   std::size_t tests = 0;
-  /// Wall time of the run (the only non-deterministic diagnostic).
+  /// Wall time of the run. Seconds and discarded tests are the only
+  /// diagnostics that depend on the schedule.
   double seconds = 0.0;
+  /// One entry per level the run reached, indexed by conditioning size.
+  std::vector<LevelCost> levels;
 };
 
 struct MiningDiagnostics {
@@ -97,6 +111,8 @@ struct MiningDiagnostics {
 
   std::size_t removed_marginal() const;
   std::size_t removed_conditional() const;
+  /// Speculative tests thrown away over every child and level.
+  std::size_t discarded_tests() const;
 };
 
 class InteractionMiner {

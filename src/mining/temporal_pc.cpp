@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <mutex>
+#include <numeric>
 #include <optional>
 
 #if defined(__GLIBC__)
@@ -13,6 +16,7 @@
 #include "causaliot/stats/batch_ci.hpp"
 #include "causaliot/stats/cmh.hpp"
 #include "causaliot/util/check.hpp"
+#include "causaliot/util/find_first.hpp"
 #include "causaliot/util/strings.hpp"
 
 namespace causaliot::mining {
@@ -27,20 +31,16 @@ obs::Registry& metrics_for(const MinerConfig& config) {
 // Which counting kernel served a level's CI tests.
 enum class Kernel : std::uint8_t { kPacked, kByte, kBatched };
 
-// Per-child CI-test tallies, flushed to the registry in one batch after
-// the child's Algorithm 1 run so workers never contend on the registry
-// mutex mid-level.
+// Per-child kernel tallies, flushed to the registry in one batch with
+// the child's per-level test counts after its Algorithm 1 run, so
+// workers never contend on the registry mutex mid-level.
 struct ChildTally {
-  std::vector<std::uint64_t> tests_per_level;
   std::uint64_t packed_tests = 0;
   std::uint64_t byte_tests = 0;
   std::uint64_t batched_tests = 0;
   std::uint64_t batch_passes = 0;
 
-  void note_level(std::size_t level, std::uint64_t tests, Kernel kernel) {
-    if (tests == 0) return;
-    if (tests_per_level.size() <= level) tests_per_level.resize(level + 1);
-    tests_per_level[level] += tests;
+  void note_level(std::uint64_t tests, Kernel kernel) {
     switch (kernel) {
       case Kernel::kPacked: packed_tests += tests; break;
       case Kernel::kByte: byte_tests += tests; break;
@@ -48,7 +48,8 @@ struct ChildTally {
     }
   }
 
-  void flush(obs::Registry& registry) const {
+  void flush(obs::Registry& registry,
+             std::span<const LevelCost> levels) const {
     static constexpr const char* kKernelHelp =
         "CI tests dispatched to the bit-packed, per-row, or batched kernel, "
         "by active SIMD backend";
@@ -58,12 +59,12 @@ struct ChildTally {
     // as a label flip, not a silent slowdown.
     const std::string backend(
         stats::simd::backend_name(stats::simd::chosen()));
-    for (std::size_t l = 0; l < tests_per_level.size(); ++l) {
-      if (tests_per_level[l] == 0) continue;
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      if (levels[l].tests == 0) continue;
       registry
           .counter("mining_ci_tests_total", {{"level", std::to_string(l)}},
                    "Conditional-independence tests per conditioning-set size")
-          .add(tests_per_level[l]);
+          .add(levels[l].tests);
     }
     if (packed_tests > 0) {
       registry
@@ -92,31 +93,120 @@ struct ChildTally {
   }
 };
 
-// Enumerates all k-combinations of {0, ..., n-1}; calls fn(indices) for
-// each. Returns false early if fn returns false ("stop enumeration").
-template <typename Fn>
-bool for_each_combination(std::size_t n, std::size_t k, Fn&& fn) {
-  if (k > n) return true;
-  std::vector<std::size_t> indices(k);
-  for (std::size_t i = 0; i < k; ++i) indices[i] = i;
-  while (true) {
-    if (!fn(indices)) return false;
-    // Advance to the next combination in lexicographic order.
-    std::size_t i = k;
-    while (i > 0) {
-      --i;
-      if (indices[i] != i + n - k) {
-        ++indices[i];
-        for (std::size_t j = i + 1; j < k; ++j) {
-          indices[j] = indices[j - 1] + 1;
-        }
-        break;
-      }
-      if (i == 0) return true;  // last combination done
+// Lexicographic k-subsets of {0, ..., m-1}, as ascending index vectors.
+// C(m, k), saturating at kSaturated: a walk that long never finishes,
+// but its first subsets can still decide a parent.
+constexpr std::uint64_t kSaturated = ~std::uint64_t{0};
+
+std::uint64_t binomial(std::size_t m, std::size_t k) {
+  if (k > m) return 0;
+  k = std::min(k, m - k);
+  std::uint64_t result = 1;
+  for (std::uint64_t i = 0; i < k; ++i) {
+    // C(m, i + 1) = C(m, i) * (m - i) / (i + 1). Dividing first by the
+    // common factor keeps the product exact: it overflows only when
+    // C(m, i + 1) itself does.
+    const std::uint64_t common = std::gcd(result, i + 1);
+    const std::uint64_t factor = (m - i) / ((i + 1) / common);
+    if (__builtin_mul_overflow(result / common, factor, &result) ||
+        result == kSaturated) {
+      return kSaturated;
     }
-    if (k == 0) return true;  // single empty combination
+  }
+  return result;
+}
+
+// Fills `subset` with the k-subset of lexicographic rank `rank`. Exact
+// even when some C(.) saturates: a saturated count exceeds any rank, and
+// only counts below the rank are subtracted.
+void unrank_subset(std::uint64_t rank, std::size_t m,
+                   std::vector<std::size_t>& subset) {
+  const std::size_t k = subset.size();
+  if (rank == 0) {  // every serial walk starts here
+    for (std::size_t i = 0; i < k; ++i) subset[i] = i;
+    return;
+  }
+  std::size_t candidate = 0;
+  for (std::size_t i = 0; i < k; ++i, ++candidate) {
+    while (true) {
+      const std::uint64_t with = binomial(m - candidate - 1, k - i - 1);
+      if (rank < with) break;
+      rank -= with;
+      ++candidate;
+    }
+    subset[i] = candidate;
   }
 }
+
+// Advances `subset` to its lexicographic successor and returns the
+// position of the first index that changed (every index before it is
+// unchanged), or subset.size() when `subset` was the last one.
+std::size_t next_subset(std::vector<std::size_t>& subset, std::size_t m) {
+  const std::size_t k = subset.size();
+  std::size_t i = k;
+  while (i > 0) {
+    --i;
+    if (subset[i] != i + m - k) {
+      ++subset[i];
+      for (std::size_t j = i + 1; j < k; ++j) subset[j] = subset[j - 1] + 1;
+      return i;
+    }
+  }
+  return k;
+}
+
+// Per-thread scratch of one subset walk: the CI context (whose depth
+// stack carries the prefix reuse) and the subset's column lists.
+struct WalkScratch {
+  stats::CiTestContext context;
+  std::vector<std::size_t> subset;
+  std::vector<std::span<const std::uint8_t>> z_columns;
+  std::vector<const stats::PackedColumn*> z_packed;
+  std::vector<stats::ColumnId> z_ids;
+};
+
+// The walk scratch of one mine(), built up front for every thread that
+// can walk at once (the pool's workers plus the caller). A chunk walk
+// leases one and hands it back, so a worker that joins another child's
+// walk brings its scratch along without allocating, and no test
+// allocates. Leasing takes a mutex once per chunk, never per test.
+class ScratchPool {
+ public:
+  explicit ScratchPool(std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      idle_.push_back(std::make_unique<WalkScratch>());
+    }
+  }
+
+  class Lease {
+   public:
+    explicit Lease(ScratchPool& owner) : owner_(owner) {
+      const std::lock_guard<std::mutex> lock(owner_.mutex_);
+      if (owner_.idle_.empty()) {
+        scratch_ = std::make_unique<WalkScratch>();
+      } else {
+        scratch_ = std::move(owner_.idle_.back());
+        owner_.idle_.pop_back();
+      }
+    }
+    ~Lease() {
+      const std::lock_guard<std::mutex> lock(owner_.mutex_);
+      owner_.idle_.push_back(std::move(scratch_));
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    WalkScratch& operator*() const { return *scratch_; }
+
+   private:
+    ScratchPool& owner_;
+    std::unique_ptr<WalkScratch> scratch_;
+  };
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<WalkScratch>> idle_;
+};
 
 // Raw spans plus bit-packed forms of every lagged column the CI tests can
 // ask for, all aligned to first_snapshot = tau. Built once per mine() and
@@ -151,13 +241,20 @@ struct ColumnCache {
   }
 };
 
-// One Algorithm 1 run for a single child against a prebuilt column cache,
-// reusing `context`'s scratch across every CI test.
+// One Algorithm 1 run for a single child against a prebuilt column cache.
+// Every parent's subsets go through one chunk walk. Levels the packed
+// kernels cover walk serially, on the child's BatchCiContext memo when
+// batching is on. Deeper levels use the per-row kernel with prefix
+// reuse, and with a pool each parent's walk speculates in order
+// (util::parallel_find_first), so workers that are done with their own
+// children join a heavy one. Either way the tests counted, the removals
+// and the causes are those of the serial walk.
 std::vector<graph::LaggedNode> discover_causes_cached(
     const MinerConfig& config, const preprocess::StateSeries& series,
     telemetry::DeviceId child, MiningDiagnostics* diagnostics,
-    const ColumnCache& cache, stats::CiTestContext& context) {
-  const auto started = std::chrono::steady_clock::now();
+    const ColumnCache& cache, ScratchPool& scratch, util::ThreadPool* pool) {
+  using Clock = std::chrono::steady_clock;
+  const auto started = Clock::now();
   const std::size_t n = series.device_count();
   const std::size_t tau = config.max_lag;
   CAUSALIOT_CHECK(child < n);
@@ -173,11 +270,12 @@ std::vector<graph::LaggedNode> discover_causes_cached(
   const stats::PackedColumn& child_packed = cache.packed_of({child, 0});
   const stats::GSquareOptions test_options{config.min_samples_per_dof};
 
-  std::vector<graph::LaggedNode> pool;
-  std::vector<std::span<const std::uint8_t>> z_columns;
-  std::vector<const stats::PackedColumn*> z_packed;
-  std::vector<stats::ColumnId> z_ids;
+  std::vector<graph::LaggedNode> candidates;
+  std::vector<stats::ColumnId> marginal_ids;
+  std::vector<std::size_t> separating;
   ChildTally tally;
+  ChildCost cost;
+  cost.child = child;
 
   // Batched CI counting: one lattice context per Algorithm 1 run, bound
   // to the child's present-time column, so intersection counts memoize
@@ -195,11 +293,14 @@ std::vector<graph::LaggedNode> discover_causes_cached(
     // Line 9: terminate once no conditioning set of size l can be formed.
     if (causes.size() < l + 1) break;
     if (l > config.max_condition_size) break;
+    const auto level_started = Clock::now();
     // The packed kernel's per-word cost is O(2^l); beyond the crossover it
     // loses to the per-row kernel, so fall back to raw spans. The batched
-    // kernel shares the packed kernel's depth cutoff.
+    // kernel shares the packed kernel's depth cutoff. Only the per-row
+    // levels speculate: a speculating worker would need its own memo.
     const bool use_packed = l <= stats::kPackedConditioningLimit;
     const bool use_batched = batch.has_value() && use_packed;
+    util::ThreadPool* const search_pool = use_packed ? nullptr : pool;
 
     // One span per (child, level): the unit the trace groups mining time
     // by. Constructed only when tracing is on so the serial hot loop never
@@ -212,7 +313,7 @@ std::vector<graph::LaggedNode> discover_causes_cached(
                        static_cast<unsigned>(child), l),
           "mine");
     }
-    std::uint64_t level_tests = 0;
+    LevelCost level;
 
     // Iterate over a fixed copy of the current parents. In Algorithm 1's
     // printed form removals take effect immediately; the PC-stable
@@ -225,9 +326,9 @@ std::vector<graph::LaggedNode> discover_causes_cached(
     // multi-key passes (several parents counted per sweep over the words)
     // before the per-parent loop consumes them.
     if (use_batched && l == 0) {
-      z_ids.clear();
+      marginal_ids.clear();
       for (const graph::LaggedNode& parent : parents_at_level) {
-        z_ids.push_back(static_cast<stats::ColumnId>(
+        marginal_ids.push_back(static_cast<stats::ColumnId>(
             cache.index_of(parent.device, parent.lag)));
       }
       std::optional<obs::Span> batch_span;
@@ -235,10 +336,10 @@ std::vector<graph::LaggedNode> discover_causes_cached(
         batch_span.emplace(
             "tpc.ci_batch",
             util::format("\"child\": %u, \"parents\": %zu",
-                         static_cast<unsigned>(child), z_ids.size()),
+                         static_cast<unsigned>(child), marginal_ids.size()),
             "mine");
       }
-      batch->prepare_marginals(z_ids);
+      batch->prepare_marginals(marginal_ids);
     }
     for (const graph::LaggedNode& parent : parents_at_level) {
       // The parent may have been removed while testing an earlier one.
@@ -246,124 +347,156 @@ std::vector<graph::LaggedNode> discover_causes_cached(
 
       // Candidate conditioning variables: the current causes (or, for
       // PC-stable, the level-start causes) minus the parent.
-      pool.clear();
+      candidates.clear();
       if (config.stable) {
         for (const graph::LaggedNode& c : parents_at_level) {
-          if (!(c == parent)) pool.push_back(c);
+          if (!(c == parent)) candidates.push_back(c);
         }
       } else {
         causes.for_each([&](graph::LaggedNode c) {
-          if (!(c == parent)) pool.push_back(c);
+          if (!(c == parent)) candidates.push_back(c);
         });
       }
-      if (pool.size() < l) continue;
+      if (candidates.size() < l) continue;
 
-      bool removed = false;
-      for_each_combination(pool.size(), l, [&](const std::vector<std::size_t>&
-                                                   subset) {
+      const auto x_id = static_cast<stats::ColumnId>(
+          cache.index_of(parent.device, parent.lag));
+      // The CI test of the subset in `s.subset`. `reuse` is the prefix
+      // depth the walk kept since its previous test (per-row kernel only).
+      const auto run_test = [&](WalkScratch& s, std::size_t reuse) {
         stats::GSquareResult test;
+        stats::CmhResult cmh;
+        const bool use_cmh = config.ci_test == CiTest::kCmh;
         if (use_batched) {
-          z_ids.clear();
-          for (std::size_t index : subset) {
-            z_ids.push_back(static_cast<stats::ColumnId>(
-                cache.index_of(pool[index].device, pool[index].lag)));
+          s.z_ids.clear();
+          for (const std::size_t index : s.subset) {
+            s.z_ids.push_back(static_cast<stats::ColumnId>(cache.index_of(
+                candidates[index].device, candidates[index].lag)));
           }
-          const auto x_id = static_cast<stats::ColumnId>(
-              cache.index_of(parent.device, parent.lag));
-          if (config.ci_test == CiTest::kCmh) {
-            const stats::CmhResult cmh = stats::cmh_test(*batch, x_id, z_ids);
-            test.statistic = cmh.statistic;
-            test.p_value = cmh.p_value;
-            test.sample_count = cmh.sample_count;
-            test.dof = 1.0;
+          if (use_cmh) {
+            cmh = stats::cmh_test(*batch, x_id, s.z_ids);
           } else {
-            test = stats::g_square_test(*batch, x_id, z_ids, test_options);
+            test = stats::g_square_test(*batch, x_id, s.z_ids, test_options);
           }
         } else if (use_packed) {
-          z_packed.clear();
-          z_packed.reserve(l);
-          for (std::size_t index : subset) {
-            z_packed.push_back(&cache.packed_of(pool[index]));
+          s.z_packed.clear();
+          for (const std::size_t index : s.subset) {
+            s.z_packed.push_back(&cache.packed_of(candidates[index]));
           }
-          if (config.ci_test == CiTest::kCmh) {
-            const stats::CmhResult cmh = stats::cmh_test(
-                cache.packed_of(parent), child_packed, z_packed, context);
-            test.statistic = cmh.statistic;
-            test.p_value = cmh.p_value;
-            test.sample_count = cmh.sample_count;
-            test.dof = 1.0;
+          if (use_cmh) {
+            cmh = stats::cmh_test(cache.packed_of(parent), child_packed,
+                                  s.z_packed, s.context);
           } else {
             test = stats::g_square_test(cache.packed_of(parent), child_packed,
-                                        z_packed, test_options, context);
+                                        s.z_packed, test_options, s.context);
           }
         } else {
-          z_columns.clear();
-          z_columns.reserve(l);
-          for (std::size_t index : subset) {
-            z_columns.push_back(cache.raw_of(pool[index]));
+          s.z_columns.clear();
+          for (const std::size_t index : s.subset) {
+            s.z_columns.push_back(cache.raw_of(candidates[index]));
           }
-          if (config.ci_test == CiTest::kCmh) {
-            const stats::CmhResult cmh = stats::cmh_test(
-                cache.raw_of(parent), child_raw, z_columns, context);
-            test.statistic = cmh.statistic;
-            test.p_value = cmh.p_value;
-            test.sample_count = cmh.sample_count;
-            test.dof = 1.0;
+          if (use_cmh) {
+            cmh = stats::cmh_test(cache.raw_of(parent), child_raw,
+                                  s.z_columns, s.context, reuse);
           } else {
             test = stats::g_square_test(cache.raw_of(parent), child_raw,
-                                        z_columns, test_options, context);
+                                        s.z_columns, test_options, s.context,
+                                        reuse);
           }
         }
-        ++level_tests;
-        if (diagnostics != nullptr) ++diagnostics->tests_run;
-        // A test skipped for insufficient samples carries no evidence of
-        // independence — only a *valid* test may remove the edge.
-        if (test.p_value > config.alpha && !test.skipped_insufficient_data) {
-          // Independent given this set: remove the edge (Line 16).
-          if (diagnostics != nullptr) {
-            RemovalRecord record;
-            record.cause = parent;
-            record.child = child;
-            record.condition_size = l;
-            record.p_value = test.p_value;
-            for (std::size_t index : subset) {
-              record.separating_set.push_back(pool[index]);
-            }
-            diagnostics->removals.push_back(std::move(record));
+        if (use_cmh) {
+          test.statistic = cmh.statistic;
+          test.p_value = cmh.p_value;
+          test.sample_count = cmh.sample_count;
+          test.dof = 1.0;
+        }
+        return test;
+      };
+      // Walks one chunk of the parent's subsets in lexicographic order and
+      // stops at the first that shows independence. A skipped test (too
+      // few samples) carries no evidence, so only a valid one decides.
+      const auto walk = [&](const util::SearchChunk& chunk) {
+        std::optional<obs::Span> chunk_span;
+        if (search_pool != nullptr && obs::Tracer::global().enabled()) {
+          chunk_span.emplace(
+              "tpc.chunk",
+              util::format("\"child\": %u, \"level\": %zu, \"first\": %llu",
+                           static_cast<unsigned>(child), l,
+                           static_cast<unsigned long long>(chunk.begin)),
+              "mine");
+        }
+        const ScratchPool::Lease lease(scratch);
+        WalkScratch& s = *lease;
+        s.subset.resize(l);
+        unrank_subset(chunk.begin, candidates.size(), s.subset);
+        util::ChunkResult<double> result{chunk.end, 0, 0.0};
+        std::size_t reuse = 0;
+        for (std::uint64_t rank = chunk.begin;
+             rank < chunk.end && !chunk.superseded(); ++rank) {
+          const stats::GSquareResult test = run_test(s, reuse);
+          ++result.evaluated;
+          if (test.p_value > config.alpha && !test.skipped_insufficient_data) {
+            result.hit = rank;
+            result.payload = test.p_value;
+            break;
           }
-          removed = true;
-          return false;  // stop enumerating subsets for this parent
+          const std::size_t changed = next_subset(s.subset, candidates.size());
+          if (changed == l) break;
+          reuse = changed + 1;
         }
-        return true;
-      });
-      if (removed) {
-        if (config.stable) {
-          deferred_removals.push_back(parent);
-        } else {
-          causes.remove(parent);
+        return result;
+      };
+      // A walk too long to rank (C(.) saturated) runs serially: only its
+      // first subsets can ever be reached.
+      const std::uint64_t total = binomial(candidates.size(), l);
+      const auto found = util::parallel_find_first(
+          total == kSaturated ? nullptr : search_pool, total, walk);
+      const bool removed = found.index < total;
+      // The serial walk runs every test up to and including the deciding
+      // one; anything evaluated past it was speculative.
+      const std::uint64_t counted = removed ? found.index + 1 : found.evaluated;
+      level.tests += counted;
+      level.discarded += found.evaluated - counted;
+      if (!removed) continue;
+      // Independent given this set: remove the edge (Line 16).
+      if (diagnostics != nullptr) {
+        RemovalRecord record;
+        record.cause = parent;
+        record.child = child;
+        record.condition_size = l;
+        record.p_value = found.payload;
+        separating.resize(l);
+        unrank_subset(found.index, candidates.size(), separating);
+        for (const std::size_t index : separating) {
+          record.separating_set.push_back(candidates[index]);
         }
+        diagnostics->removals.push_back(std::move(record));
+      }
+      if (config.stable) {
+        deferred_removals.push_back(parent);
+      } else {
+        causes.remove(parent);
       }
     }
     for (const graph::LaggedNode& parent : deferred_removals) {
       causes.remove(parent);
     }
-    tally.note_level(l, level_tests,
-                     use_batched ? Kernel::kBatched
-                                 : use_packed ? Kernel::kPacked : Kernel::kByte);
+    tally.note_level(level.tests, use_batched  ? Kernel::kBatched
+                                  : use_packed ? Kernel::kPacked
+                                               : Kernel::kByte);
+    level.seconds =
+        std::chrono::duration<double>(Clock::now() - level_started).count();
+    cost.tests += level.tests;
+    cost.levels.push_back(level);
     ++l;
   }
   if (batch.has_value()) tally.batch_passes = batch->pass_count();
-  tally.flush(metrics_for(config));
+  tally.flush(metrics_for(config), cost.levels);
   if (diagnostics != nullptr) {
-    ChildCost cost;
-    cost.child = child;
-    for (const std::uint64_t tests : tally.tests_per_level) {
-      cost.tests += static_cast<std::size_t>(tests);
-    }
-    cost.seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - started)
-                       .count();
-    diagnostics->child_costs.push_back(cost);
+    diagnostics->tests_run += cost.tests;
+    cost.seconds =
+        std::chrono::duration<double>(Clock::now() - started).count();
+    diagnostics->child_costs.push_back(std::move(cost));
   }
 
   // CauseSet iterates lag-major, which is already LaggedNode's canonical
@@ -387,6 +520,14 @@ std::size_t MiningDiagnostics::removed_conditional() const {
   return removals.size() - removed_marginal();
 }
 
+std::size_t MiningDiagnostics::discarded_tests() const {
+  std::size_t discarded = 0;
+  for (const ChildCost& cost : child_costs) {
+    for (const LevelCost& level : cost.levels) discarded += level.discarded;
+  }
+  return discarded;
+}
+
 InteractionMiner::InteractionMiner(MinerConfig config) : config_(config) {
   CAUSALIOT_CHECK_MSG(config_.max_lag >= 1, "max_lag must be >= 1");
   CAUSALIOT_CHECK_MSG(config_.alpha > 0.0 && config_.alpha < 1.0,
@@ -399,9 +540,9 @@ std::vector<graph::LaggedNode> InteractionMiner::discover_causes(
   CAUSALIOT_CHECK_MSG(series.length() > config_.max_lag,
                       "series shorter than the maximum lag");
   const ColumnCache cache(series, config_.max_lag);
-  stats::CiTestContext context;
+  ScratchPool scratch(1);
   return discover_causes_cached(config_, series, child, diagnostics, cache,
-                                context);
+                                scratch, nullptr);
 }
 
 graph::InteractionGraph InteractionMiner::mine(
@@ -431,26 +572,28 @@ graph::InteractionGraph InteractionMiner::mine(
     own_pool.emplace(config_.threads);
     pool = &*own_pool;
   }
-  util::parallel_for(pool, 0, n, [&](std::size_t child) {
-    // Worker attribution: the span lands in the executing thread's buffer,
-    // so the trace shows which pool worker mined which child.
-    std::optional<obs::Span> child_span;
-    if (obs::Tracer::global().enabled()) {
-      child_span.emplace("tpc.child", util::format("\"child\": %zu", child),
-                         "mine");
-    }
-    stats::CiTestContext context;
-    causes_per_child[child] = discover_causes_cached(
-        config_, series, static_cast<telemetry::DeviceId>(child),
-        diagnostics != nullptr ? &diagnostics_per_child[child] : nullptr,
-        cache, context);
-  });
+  {
+    ScratchPool scratch(pool != nullptr ? pool->thread_count() + 1 : 1);
+    util::parallel_for(pool, 0, n, [&](std::size_t child) {
+      // Worker attribution: the span lands in the executing thread's
+      // buffer, so the trace shows which pool worker mined which child.
+      std::optional<obs::Span> child_span;
+      if (obs::Tracer::global().enabled()) {
+        child_span.emplace("tpc.child",
+                           util::format("\"child\": %zu", child), "mine");
+      }
+      causes_per_child[child] = discover_causes_cached(
+          config_, series, static_cast<telemetry::DeviceId>(child),
+          diagnostics != nullptr ? &diagnostics_per_child[child] : nullptr,
+          cache, scratch, pool);
+    });
+  }
 #if defined(__GLIBC__)
   // Hand the fan-out's freed scratch back to the OS. The workers
   // allocate each child's CI scratch (the batched-CI memo, about 5.7k
   // entries and 2.5k masks for the heaviest child of the 28-day
-  // ContextAct trace, plus the counting buffers) from glibc's
-  // per-thread arenas. The main thread's growing vectors raise the
+  // ContextAct trace, plus the walk scratch's counting buffers) from
+  // glibc's per-thread arenas. The main thread's growing vectors raise the
   // dynamic mmap threshold to about 8 MB, and with it the trim
   // threshold, so those arenas never shrink on their own: after 12
   // train runs each of 4 worker arenas held about 7.8 MB, over 99%

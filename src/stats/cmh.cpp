@@ -50,7 +50,7 @@ CmhResult cmh_from_counts(const StratumCounts& strata,
 CmhResult cmh_test(std::span<const std::uint8_t> x,
                    std::span<const std::uint8_t> y,
                    std::span<const std::span<const std::uint8_t>> z,
-                   CiTestContext& context) {
+                   CiTestContext& context, std::size_t reuse) {
   const std::size_t n = x.size();
   CAUSALIOT_CHECK_MSG(y.size() == n, "column length mismatch");
   CAUSALIOT_CHECK_MSG(z.size() <= 20, "conditioning set too large");
@@ -61,7 +61,7 @@ CmhResult cmh_test(std::span<const std::uint8_t> x,
     CmhResult result;
     return result;
   }
-  return internal::cmh_from_counts(context.count_strata(x, y, z), n);
+  return internal::cmh_from_counts(context.count_strata(x, y, z, reuse), n);
 }
 
 CmhResult cmh_test(const PackedColumn& x, const PackedColumn& y,

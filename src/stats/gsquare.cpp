@@ -83,7 +83,7 @@ GSquareResult g_square_test(std::span<const std::uint8_t> x,
                             std::span<const std::uint8_t> y,
                             std::span<const std::span<const std::uint8_t>> z,
                             const GSquareOptions& options,
-                            CiTestContext& context) {
+                            CiTestContext& context, std::size_t reuse) {
   const std::size_t n = x.size();
   CAUSALIOT_CHECK_MSG(y.size() == n, "column length mismatch");
   CAUSALIOT_CHECK_MSG(z.size() <= 20, "conditioning set too large");
@@ -93,7 +93,8 @@ GSquareResult g_square_test(std::span<const std::uint8_t> x,
 
   GSquareResult result;
   if (internal::g_square_preamble(n, z.size(), options, result)) return result;
-  return internal::g_square_from_counts(context.count_strata(x, y, z), n);
+  return internal::g_square_from_counts(context.count_strata(x, y, z, reuse),
+                                        n);
 }
 
 GSquareResult g_square_test(const PackedColumn& x, const PackedColumn& y,

@@ -13,15 +13,20 @@
 //     word r/64 = row r, the util/bitkey.hpp convention). For small |Z|
 //     the counting kernel then processes 64 rows per step with bitwise
 //     AND + popcount instead of a per-row inner loop over Z.
-//   * The per-row kernel (the path above kPackedConditioningLimit) runs
-//     in two phases: it first builds every row's cell index
-//     key·4 + x·2 + y one column at a time (branch-free loops the
-//     compiler vectorizes, validated by one OR per column), then counts
-//     the indices in a single histogram pass.
-//   * Above kDenseStrataLimit strata that histogram is sparse: instead
-//     of zero-filling the whole 4·2^|Z| table per call, touched stratum
-//     keys are epoch-stamped and zeroed on first touch, so a high-|Z|
-//     test pays O(touched) rather than O(2^|Z|) setup.
+//   * The per-row kernel (the path above kPackedConditioningLimit) keeps
+//     a stack of row cell arrays, one per depth: cells_0 = x·2 + y and
+//     cells_{d+1} = cells_d | z_d << (d + 2). Each fold is a branch-free
+//     loop the compiler vectorizes, validated by one OR per column; the
+//     last column is folded inside the histogram pass. Consecutive
+//     subsets of a lexicographic walk share all but their tail, so a
+//     walk refolds only the depths past the first changed column.
+//   * The histogram spreads consecutive rows over four sub-tables, so
+//     runs of sticky rows in one cell do not serialize on one counter,
+//     and sums them into the result up to 1024 strata. Above
+//     kDenseStrataLimit strata the result is sparse (the non-empty keys).
+//     Above 1024 strata, instead of summing the whole 4·2^|Z| table per
+//     call, touched stratum keys are epoch-stamped and zeroed on first
+//     touch, so a high-|Z| test pays O(touched) rather than O(2^|Z|).
 //
 // Counts are exact integers, so both paths produce bit-identical test
 // statistics to the original per-row double accumulation. Multi-subset
@@ -99,9 +104,23 @@ class CiTestContext {
   /// Every value must be 0 or 1: a non-binary x or y aborts with
   /// "non-binary test value", a non-binary z column with "non-binary
   /// conditioning value".
+  /// Equivalent to count_strata(x, y, z, 0): nothing is reused.
   StratumCounts count_strata(
       std::span<const std::uint8_t> x, std::span<const std::uint8_t> y,
       std::span<const std::span<const std::uint8_t>> z);
+
+  /// Prefix-reuse form for a walk over conditioning sets. The context
+  /// keeps the cell arrays of its previous call, and `reuse` says how
+  /// many of them the caller vouches for: 0 = none, 1 = x and y hold the
+  /// same bytes as before, d + 1 = so do z[0..d). A lexicographic walk
+  /// that advanced index i passes i + 1. Only depths whose columns are
+  /// also the same spans (data pointer and length) as in the previous
+  /// call are kept, so an over-generous `reuse` after a call with other
+  /// columns costs a refold, never a wrong count. Counts, keys and the
+  /// CHECK messages are those of the zero-reuse call.
+  StratumCounts count_strata(
+      std::span<const std::uint8_t> x, std::span<const std::uint8_t> y,
+      std::span<const std::span<const std::uint8_t>> z, std::size_t reuse);
 
   /// Packed-kernel equivalent: identical counts, word-at-a-time. Always
   /// dense (|z| <= kPackedConditioningLimit implies few strata).
@@ -110,9 +129,34 @@ class CiTestContext {
       std::span<const PackedColumn* const> z);
 
  private:
+  // The per-row kernel with Cell-wide cell indices.
+  template <typename Cell>
+  StratumCounts count_rows(
+      std::span<const std::uint8_t> x, std::span<const std::uint8_t> y,
+      std::span<const std::span<const std::uint8_t>> z, std::size_t reuse);
+  // Folds the cell arrays the call needs and returns the last depth the
+  // stack holds: max(|z|, 1) - 1, the input of the fused last fold.
+  template <typename Cell>
+  const Cell* fold_prefix(
+      std::span<const std::uint8_t> x, std::span<const std::uint8_t> y,
+      std::span<const std::span<const std::uint8_t>> z, std::size_t reuse);
+
   std::vector<std::uint64_t> counts_;
-  // Per-row kernel: each row's cell index key * 4 + x * 2 + y.
-  std::vector<std::uint32_t> cells_;
+  // Per-row kernel: the split histogram's sub-tables, all zero between
+  // calls.
+  std::vector<std::uint32_t> split_;
+  // Per-row kernel: depth d's cell array (x·2 + y | z[0..d) folded in) at
+  // offset d * rows_, 16-bit up to |Z| = 14 and 32-bit above; the first
+  // depth_ are valid for the columns recorded in x_, y_ and z_, in the
+  // width wide_ names.
+  std::vector<std::uint16_t> narrow_cells_;
+  std::vector<std::uint32_t> wide_cells_;
+  bool wide_ = false;
+  std::size_t rows_ = 0;
+  std::size_t depth_ = 0;
+  const std::uint8_t* x_ = nullptr;
+  const std::uint8_t* y_ = nullptr;
+  std::vector<const std::uint8_t*> z_;
   // Sparse path: stamps_[key] == epoch_ marks keys already zeroed this
   // call; touched_ lists them for the sorted result view.
   std::vector<std::uint64_t> stamps_;

@@ -48,12 +48,13 @@ GSquareResult g_square_test(std::span<const std::uint8_t> x,
                             const GSquareOptions& options = {});
 
 /// Hot-path variant: reuses `context`'s scratch instead of allocating a
-/// fresh stratum table. One context per thread.
+/// fresh stratum table. One context per thread. `reuse` is forwarded to
+/// CiTestContext::count_strata (prefix reuse along a subset walk).
 GSquareResult g_square_test(std::span<const std::uint8_t> x,
                             std::span<const std::uint8_t> y,
                             std::span<const std::span<const std::uint8_t>> z,
                             const GSquareOptions& options,
-                            CiTestContext& context);
+                            CiTestContext& context, std::size_t reuse = 0);
 
 /// Packed-column variant: word-parallel counting kernel, same result bit
 /// for bit. |z| <= kPackedConditioningLimit.

@@ -320,6 +320,40 @@ TEST(TemporalPC, CiBatchingOffDispatchesToPackedKernel) {
   EXPECT_EQ(registry.counter("mining_ci_batch_passes_total").value(), 0u);
 }
 
+// MiningDiagnostics::child_costs breaks each child's run down by level:
+// the levels' tests add up to the child's, the children's to tests_run,
+// and a serial mine discards nothing (only a pool speculates).
+TEST(TemporalPC, ChildCostLevelsAddUpAndSerialMineDiscardsNothing) {
+  const StateSeries series = chain_series(2000, 0.05, 3);
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    MinerConfig config;
+    config.max_lag = 2;
+    config.threads = threads;
+    MiningDiagnostics diagnostics;
+    InteractionMiner(config).mine(series, &diagnostics);
+    ASSERT_EQ(diagnostics.child_costs.size(), series.device_count());
+    std::size_t tests = 0;
+    std::size_t discarded = 0;
+    for (const ChildCost& cost : diagnostics.child_costs) {
+      ASSERT_FALSE(cost.levels.empty()) << "child " << cost.child;
+      std::size_t level_tests = 0;
+      for (const LevelCost& level : cost.levels) {
+        level_tests += level.tests;
+        discarded += level.discarded;
+        EXPECT_GE(level.seconds, 0.0);
+      }
+      EXPECT_EQ(level_tests, cost.tests) << "child " << cost.child;
+      tests += cost.tests;
+    }
+    EXPECT_EQ(tests, diagnostics.tests_run);
+    EXPECT_EQ(discarded, diagnostics.discarded_tests());
+    if (threads == 1) {
+      EXPECT_EQ(diagnostics.discarded_tests(), 0u);
+    }
+  }
+}
+
 TEST(CauseSet, StartsFullInCanonicalOrder) {
   const CauseSet set(3, 2);
   EXPECT_EQ(set.size(), 6u);

@@ -5,12 +5,16 @@
 // mining across cores without revalidating detection behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <set>
 #include <tuple>
 
 #include "causaliot/detect/monitor.hpp"
 #include "causaliot/mining/temporal_pc.hpp"
 #include "causaliot/stats/cmh.hpp"
 #include "causaliot/stats/simd_backend.hpp"
+#include "causaliot/util/find_first.hpp"
 #include "causaliot/util/rng.hpp"
 
 namespace causaliot::mining {
@@ -37,6 +41,35 @@ StateSeries busy_series(std::size_t device_count, std::size_t event_count,
     state[device] ^= 1;
     series.apply({device, state[device], static_cast<double>(j)});
     last = device;
+  }
+  return series;
+}
+
+// A hub home: device 0 follows the noisy majority of devices 2..inputs+1
+// one event after each input flips, and device 1 echoes that majority
+// with more noise just before it. Every majority input stays a cause of
+// device 0 deep into Algorithm 1, so its run reaches conditioning sets of
+// 7 and more: the levels the per-row kernel serves and speculation
+// splits across workers.
+StateSeries hub_series(std::size_t inputs, std::size_t rounds,
+                       std::uint64_t seed, double noise) {
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> state(inputs + 2, 0);
+  StateSeries series(inputs + 2, state);
+  double t = 0.0;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    const auto input =
+        static_cast<telemetry::DeviceId>(2 + rng.uniform(inputs));
+    state[input] ^= 1;
+    series.apply({input, state[input], t += 1.0});
+    std::size_t on = 0;
+    for (std::size_t i = 2; i < inputs + 2; ++i) on += state[i];
+    const std::uint8_t majority = on * 2 > inputs ? 1 : 0;
+    const auto child_flip = static_cast<std::uint8_t>(rng.bernoulli(noise));
+    state[1] = majority ^ static_cast<std::uint8_t>(rng.bernoulli(noise * 4));
+    series.apply({1, state[1], t += 1.0});
+    state[0] = majority ^ child_flip;
+    series.apply({0, state[0], t += 1.0});
   }
   return series;
 }
@@ -143,6 +176,174 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param) ? "Stable" : "Plain") +
              (std::get<1>(info.param) == CiTest::kCmh ? "Cmh" : "GSquare");
     });
+
+// Speculative in-order mining (the per-row levels above the packed
+// cutoff split each parent's subset walk across the pool) is exact:
+// every thread count and an external pool reproduce the serial DIG, CPT
+// counts, removal sequence, per-child and per-level test counts and every
+// per-level and per-kernel counter. Only the discarded-test tally may
+// differ, and it is 0 without a pool.
+class SpeculativeMiningEquivalence
+    : public ::testing::TestWithParam<std::tuple<bool, CiTest>> {};
+
+void expect_identical_counters(obs::Registry& expected, obs::Registry& actual,
+                               std::size_t max_level) {
+  for (std::size_t l = 0; l <= max_level; ++l) {
+    EXPECT_EQ(actual.counter("mining_ci_tests_total",
+                             {{"level", std::to_string(l)}})
+                  .value(),
+              expected.counter("mining_ci_tests_total",
+                               {{"level", std::to_string(l)}})
+                  .value())
+        << "level " << l;
+  }
+  const std::string backend(
+      stats::simd::backend_name(stats::simd::chosen()));
+  for (const char* kernel : {"batched", "packed", "byte"}) {
+    EXPECT_EQ(actual.counter("mining_ci_kernel_hits_total",
+                             {{"kernel", kernel}, {"backend", backend}})
+                  .value(),
+              expected.counter("mining_ci_kernel_hits_total",
+                               {{"kernel", kernel}, {"backend", backend}})
+                  .value())
+        << "kernel " << kernel;
+  }
+}
+
+void expect_identical_costs(const MiningDiagnostics& serial,
+                            const MiningDiagnostics& parallel) {
+  ASSERT_EQ(serial.child_costs.size(), parallel.child_costs.size());
+  for (std::size_t c = 0; c < serial.child_costs.size(); ++c) {
+    const ChildCost& s = serial.child_costs[c];
+    const ChildCost& p = parallel.child_costs[c];
+    EXPECT_EQ(s.child, p.child);
+    EXPECT_EQ(s.tests, p.tests) << "child " << s.child;
+    ASSERT_EQ(s.levels.size(), p.levels.size()) << "child " << s.child;
+    for (std::size_t l = 0; l < s.levels.size(); ++l) {
+      EXPECT_EQ(s.levels[l].tests, p.levels[l].tests)
+          << "child " << s.child << " level " << l;
+    }
+  }
+}
+
+TEST_P(SpeculativeMiningEquivalence, EveryThreadCountAndPoolMatchSerial) {
+  const auto [stable, ci_test] = GetParam();
+  const StateSeries series = hub_series(9, 1000, 5, 0.05);
+
+  MinerConfig config;
+  config.max_lag = 2;
+  config.alpha = 0.001;
+  config.stable = stable;
+  config.ci_test = ci_test;
+  const std::size_t max_level = config.max_lag * series.device_count();
+
+  obs::Registry serial_registry;
+  config.metrics_registry = &serial_registry;
+  MiningDiagnostics serial_diag;
+  const graph::InteractionGraph serial =
+      InteractionMiner(config).mine(series, &serial_diag);
+  ASSERT_GT(serial_registry
+                .counter("mining_ci_tests_total", {{"level", "7"}})
+                .value(),
+            0u);
+  EXPECT_EQ(serial_diag.discarded_tests(), 0u);
+
+  const auto expect_matches_serial = [&](obs::Registry& registry,
+                                         const graph::InteractionGraph& mined,
+                                         const MiningDiagnostics& diag) {
+    expect_identical_models(serial, mined, serial_diag, diag);
+    expect_identical_costs(serial_diag, diag);
+    expect_identical_counters(serial_registry, registry, max_level);
+  };
+  for (const std::size_t threads : {2, 4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    obs::Registry registry;
+    config.metrics_registry = &registry;
+    config.threads = threads;
+    MiningDiagnostics diag;
+    const graph::InteractionGraph mined =
+        InteractionMiner(config).mine(series, &diag);
+    expect_matches_serial(registry, mined, diag);
+  }
+  {
+    SCOPED_TRACE("external pool");
+    obs::Registry registry;
+    config.metrics_registry = &registry;
+    config.threads = 1;
+    util::ThreadPool pool(4);
+    MiningDiagnostics diag;
+    const graph::InteractionGraph mined =
+        InteractionMiner(config).mine(series, &diag, &pool);
+    expect_matches_serial(registry, mined, diag);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, SpeculativeMiningEquivalence,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(CiTest::kGSquare, CiTest::kCmh)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, CiTest>>& info) {
+      return std::string(std::get<0>(info.param) ? "Stable" : "Plain") +
+             (std::get<1>(info.param) == CiTest::kCmh ? "Cmh" : "GSquare");
+    });
+
+// The lowest-deciding-index selection on a synthetic predicate: the
+// answer is the lowest hit whatever the pool, every item below it is
+// evaluated exactly once, and without a pool nothing past it is.
+TEST(ParallelFindFirst, LowestHitWinsAndEverythingBelowItIsEvaluated) {
+  struct Case {
+    const char* name;
+    std::set<std::uint64_t> hits;
+  };
+  constexpr std::uint64_t kCount = 600;
+  const Case cases[] = {
+      {"hit at the first item", {0}},
+      {"hit in the first speculative chunk", {1}},
+      {"hit in a later chunk", {200}},
+      {"several hits", {57, 58, 300, 599}},
+      {"no hit", {}},
+  };
+  util::ThreadPool pool(4);
+  for (const Case& c : cases) {
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                &pool}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (p == nullptr ? ", serial" : ", pool"));
+      std::vector<std::atomic<int>> seen(kCount);
+      const util::FirstHit<std::uint64_t> found = util::parallel_find_first(
+          p, kCount, [&](const util::SearchChunk& chunk) {
+            util::ChunkResult<std::uint64_t> result{chunk.end, 0, 0};
+            for (std::uint64_t i = chunk.begin;
+                 i < chunk.end && !chunk.superseded(); ++i) {
+              seen[i].fetch_add(1);
+              ++result.evaluated;
+              if (c.hits.count(i) != 0) {
+                result.hit = i;
+                result.payload = i * 10 + 7;
+                break;
+              }
+            }
+            return result;
+          });
+      const std::uint64_t expected =
+          c.hits.empty() ? kCount : *c.hits.begin();
+      EXPECT_EQ(found.index, expected);
+      EXPECT_EQ(found.payload, c.hits.empty() ? 0 : expected * 10 + 7);
+      std::uint64_t evaluated = 0;
+      for (std::uint64_t i = 0; i < kCount; ++i) {
+        EXPECT_LE(seen[i].load(), 1) << "item " << i;
+        if (i <= expected && i < kCount) {
+          EXPECT_EQ(seen[i].load(), 1) << "item " << i;
+        }
+        evaluated += static_cast<std::uint64_t>(seen[i].load());
+      }
+      EXPECT_EQ(found.evaluated, evaluated);
+      if (p == nullptr || c.hits.empty()) {
+        EXPECT_EQ(found.evaluated, std::min(expected + 1, kCount));
+      }
+    }
+  }
+}
 
 // The CPT-estimation stage on its own: a pooled estimate over an already
 // mined skeleton must produce bit-identical counts to the serial pass

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "causaliot/stats/cmh.hpp"
@@ -406,6 +407,135 @@ TEST(CiTestContextDeathTest, ByteKernelRejectsNonBinaryValues) {
   bad[n - 1] = 1;
   bad[0] = 255;
   EXPECT_DEATH(context.count_strata(columns[0], columns[1], bad_z),
+               "non-binary conditioning value");
+}
+
+// Naive per-row oracle for one count_strata view: every row's key built
+// bit by bit, compared against the dense table or the sparse key list.
+void expect_matches_row_oracle(const StratumCounts& counts, const Column& x,
+                               const Column& y,
+                               std::span<const std::span<const std::uint8_t>> z,
+                               const std::string& where) {
+  const std::size_t strata = std::size_t{1} << z.size();
+  std::vector<std::uint64_t> naive(strata * 4, 0);
+  for (std::size_t row = 0; row < x.size(); ++row) {
+    std::size_t key = 0;
+    for (std::size_t j = 0; j < z.size(); ++j) {
+      key |= static_cast<std::size_t>(z[j][row]) << j;
+    }
+    ++naive[key * 4 + x[row] * 2 + y[row]];
+  }
+  ASSERT_EQ(counts.dense, strata <= kDenseStrataLimit) << where;
+  if (counts.dense) {
+    ASSERT_EQ(counts.counts.size(), strata * 4) << where;
+    EXPECT_TRUE(std::equal(naive.begin(), naive.end(), counts.counts.begin()))
+        << where;
+    return;
+  }
+  std::vector<std::uint32_t> occurring;
+  for (std::size_t key = 0; key < strata; ++key) {
+    if (naive[key * 4] + naive[key * 4 + 1] + naive[key * 4 + 2] +
+            naive[key * 4 + 3] >
+        0) {
+      occurring.push_back(static_cast<std::uint32_t>(key));
+    }
+  }
+  ASSERT_TRUE(std::equal(occurring.begin(), occurring.end(),
+                         counts.keys.begin(), counts.keys.end()))
+      << where;
+  for (const std::uint32_t key : counts.keys) {
+    for (std::size_t cell = 0; cell < 4; ++cell) {
+      ASSERT_EQ(counts.counts[key * 4 + cell], naive[key * 4 + cell])
+          << where << " key " << key;
+    }
+  }
+}
+
+// Lexicographic successor of an ascending k-subset of {0..m-1}; returns
+// the first changed position, or k after the last subset.
+std::size_t next_subset(std::vector<std::size_t>& subset, std::size_t m) {
+  const std::size_t k = subset.size();
+  std::size_t i = k;
+  while (i > 0) {
+    --i;
+    if (subset[i] != i + m - k) {
+      ++subset[i];
+      for (std::size_t j = i + 1; j < k; ++j) subset[j] = subset[j - 1] + 1;
+      return i;
+    }
+  }
+  return k;
+}
+
+// The prefix-reuse kernel along random lexicographic walks, the way the
+// miner drives it: each step passes the kept prefix (first changed index
+// + 1), and a walk jumps to a random subset every few steps, as a worker
+// does at the start of each chunk. After a jump the test passes a random
+// reuse, generous or not — the context must keep only the depths it
+// built from the same columns. |Z| = 7, 8 give dense tables; 9, 10 the
+// split sparse path; 11, 12 the epoch-stamped one.
+TEST(CiTestContext, PrefixReuseWalksMatchRowOracle) {
+  util::Rng rng(73);
+  const std::size_t n = 701;
+  for (const std::size_t pool_size : {12, 14, 16}) {
+    std::vector<Column> columns = random_columns(pool_size + 2, n, rng, 0.3);
+    std::fill(columns[2].begin(), columns[2].end(), 0);  // empty strata
+    const Column& x = columns[0];
+    const Column& y = columns[1];
+    for (std::size_t level = 7; level <= 12; ++level) {
+      CiTestContext context;
+      std::vector<std::size_t> subset(level);
+      std::vector<std::span<const std::uint8_t>> z(level);
+      std::size_t reuse = 0;
+      for (std::size_t step = 0; step < 60; ++step) {
+        if (step % 15 == 0) {
+          // Chunk jump: a random subset, then a random reuse claim.
+          std::vector<std::size_t> all(pool_size);
+          for (std::size_t i = 0; i < pool_size; ++i) all[i] = i;
+          rng.shuffle(all);
+          std::copy(all.begin(), all.begin() + static_cast<long>(level),
+                    subset.begin());
+          std::sort(subset.begin(), subset.end());
+          reuse = rng.uniform(level + 1);
+        }
+        for (std::size_t j = 0; j < level; ++j) {
+          z[j] = columns[2 + subset[j]];
+        }
+        const std::string where = "pool " + std::to_string(pool_size) +
+                                  " level " + std::to_string(level) +
+                                  " step " + std::to_string(step);
+        expect_matches_row_oracle(context.count_strata(x, y, z, reuse), x, y,
+                                  z, where);
+        if (HasFatalFailure()) return;
+        const std::size_t changed = next_subset(subset, pool_size);
+        if (changed == level) break;
+        reuse = changed + 1;
+      }
+    }
+  }
+}
+
+// A non-binary conditioning byte aborts wherever the walk folds it: at a
+// depth the stack keeps for later subsets, and at the last column, which
+// is folded inside the counting pass.
+TEST(CiTestContextDeathTest, PrefixReuseRejectsNonBinaryConditioning) {
+  util::Rng rng(79);
+  const std::size_t n = 1001;
+  std::vector<Column> columns = random_columns(12, n, rng, 0.5);
+  Column bad = columns[11];
+  bad[n - 1] = 2;
+  std::vector<std::span<const std::uint8_t>> z;
+  for (std::size_t j = 2; j < 10; ++j) z.push_back(columns[j]);  // |Z| = 8
+
+  CiTestContext context;
+  (void)context.count_strata(columns[0], columns[1], z, 0);
+  std::vector<std::span<const std::uint8_t>> reused_bad = z;
+  reused_bad[3] = bad;  // depths 0..3 kept, depth 4 refolds the bad column
+  EXPECT_DEATH(context.count_strata(columns[0], columns[1], reused_bad, 4),
+               "non-binary conditioning value");
+  std::vector<std::span<const std::uint8_t>> last_bad = z;
+  last_bad.back() = bad;  // only the fused last fold sees it
+  EXPECT_DEATH(context.count_strata(columns[0], columns[1], last_bad, 8),
                "non-binary conditioning value");
 }
 
