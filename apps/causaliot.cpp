@@ -23,11 +23,13 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "causaliot/core/evaluation.hpp"
@@ -51,6 +53,7 @@
 #include "causaliot/sim/simulator.hpp"
 #include "causaliot/stats/simd_backend.hpp"
 #include "causaliot/telemetry/jsonl.hpp"
+#include "causaliot/util/check.hpp"
 #include "causaliot/util/file.hpp"
 #include "causaliot/util/log.hpp"
 #include "causaliot/util/strings.hpp"
@@ -58,6 +61,77 @@
 namespace {
 
 using namespace causaliot;
+
+// Every numeric flag and the largest value it takes. A flag is either a
+// finite non-negative real or a non-negative integer no larger than
+// `max` (the range of the field it sets). main checks every numeric flag
+// given before a command runs, so the getters below only parse values
+// already known to be good.
+struct NumericFlag {
+  std::string_view name;
+  bool real;
+  std::uint64_t max;  // integers only
+};
+constexpr std::uint64_t kAnyInt = std::numeric_limits<std::int64_t>::max();
+constexpr std::uint64_t kPort = std::numeric_limits<std::uint16_t>::max();
+constexpr NumericFlag kNumericFlags[] = {
+    {"alpha", true, 0},
+    {"chains", false, kAnyInt},
+    {"ci-batch", false, kAnyInt},
+    {"days", true, 0},
+    {"debug-event-delay-us", false,
+     std::numeric_limits<std::uint32_t>::max()},
+    {"dedup", false, kAnyInt},
+    {"guard", true, 0},
+    {"history-capacity", false, kAnyInt},
+    {"history-interval", false, kAnyInt},
+    {"ingest-http", false, kPort},
+    {"ingest-port", false, kPort},
+    {"kmax", false, kAnyInt},
+    {"laplace", true, 0},
+    {"listen", false, kPort},
+    {"metrics-interval", false, kAnyInt},
+    {"q", true, 0},
+    {"queue", false, kAnyInt},
+    {"root-cause-depth", false, kAnyInt},
+    {"root-cause-history", false, kAnyInt},
+    {"seed", false, kAnyInt},
+    {"shards", false, kAnyInt},
+    {"speedup", true, 0},
+    {"stdin", false, kAnyInt},
+    {"tau", false, kAnyInt},
+    {"tenants", false, kAnyInt},
+    {"test-days", true, 0},
+    {"threads", false, kAnyInt},
+    {"threshold", true, 0},
+    {"trace-sample", false, kAnyInt},
+    {"verbose", false, kAnyInt},
+};
+
+const NumericFlag* find_numeric_flag(std::string_view name) {
+  for (const NumericFlag& flag : kNumericFlags) {
+    if (flag.name == name) return &flag;
+  }
+  return nullptr;
+}
+
+// Strict parses through the shared util parsers: no sign, no trailing
+// bytes, nothing non-finite, nothing past the flag's bound.
+std::optional<std::uint64_t> parse_flag_int(const NumericFlag& flag,
+                                            std::string_view text) {
+  const auto value = util::parse_int(text);
+  if (!value.ok() || value.value() < 0 ||
+      static_cast<std::uint64_t>(value.value()) > flag.max) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(value.value());
+}
+
+std::optional<double> parse_flag_real(std::string_view text) {
+  const auto value = util::parse_double(text);
+  if (!value.ok() || value.value() < 0.0) return std::nullopt;
+  return value.value();
+}
 
 struct Args {
   std::string command;
@@ -68,15 +142,33 @@ struct Args {
     return it == options.end() ? fallback : it->second.c_str();
   }
   double get_double(const std::string& key, double fallback) const {
+    const NumericFlag* flag = find_numeric_flag(key);
+    CAUSALIOT_CHECK_MSG(flag != nullptr && flag->real, "undeclared flag");
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::strtod(it->second.c_str(),
-                                                        nullptr);
+    return it == options.end() ? fallback
+                               : parse_flag_real(it->second).value();
   }
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
+    const NumericFlag* flag = find_numeric_flag(key);
+    CAUSALIOT_CHECK_MSG(flag != nullptr && !flag->real, "undeclared flag");
     const auto it = options.find(key);
-    return it == options.end()
-               ? fallback
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+    return it == options.end() ? fallback
+                               : parse_flag_int(*flag, it->second).value();
+  }
+  // False (after saying which) when a numeric flag's value is malformed
+  // or out of range.
+  bool numeric_flags_valid() const {
+    for (const auto& [key, value] : options) {
+      const NumericFlag* flag = find_numeric_flag(key);
+      if (flag == nullptr) continue;
+      const bool valid = flag->real ? parse_flag_real(value).has_value()
+                                    : parse_flag_int(*flag, value).has_value();
+      if (!valid) {
+        std::fprintf(stderr, "invalid value for --%s\n", key.c_str());
+        return false;
+      }
+    }
+    return true;
   }
   bool require(const std::string& key) const {
     if (options.contains(key)) return true;
@@ -151,7 +243,7 @@ void print_stage_table(const obs::Tracer& tracer) {
 // The numbers that show the next training hot spot and any memory creep
 // without a trace dump: the slowest child's Algorithm 1 run level by
 // level, the speculative tests the mine threw away, and the process's
-// peak resident set so far.
+// peak resident set so far next to the bytes that child's CI memo held.
 void print_training_cost(const mining::MiningDiagnostics& diagnostics) {
   const auto& costs = diagnostics.child_costs;
   const auto slowest = std::max_element(
@@ -174,8 +266,13 @@ void print_training_cost(const mining::MiningDiagnostics& diagnostics) {
               diagnostics.discarded_tests());
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) == 0) {
-    std::printf("peak RSS: %.1f MB\n",
-                static_cast<double>(usage.ru_maxrss) / 1024.0);  // KB
+    std::printf("peak RSS: %.1f MB", static_cast<double>(usage.ru_maxrss) /
+                                         1024.0);  // KB
+    if (slowest != costs.end()) {
+      std::printf(" (slowest child's CI memo: %.1f MB)",
+                  static_cast<double>(slowest->memo_bytes) / 1048576.0);
+    }
+    std::printf("\n");
   }
 }
 
@@ -922,6 +1019,7 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
+  if (!args->numeric_flags_valid()) return 2;
   if (!apply_simd_flag(*args)) return 2;
   if (args->command == "simulate") return cmd_simulate(*args);
   if (args->command == "train") return cmd_train(*args);

@@ -437,6 +437,67 @@ BENCHMARK(BM_HighLevelCIFromScratch)
     ->DenseRange(7, 10)
     ->Unit(benchmark::kMillisecond);
 
+// The batched kernel at the levels it serves (|Z| <= 6), on the same
+// 28-day columns and the same 14-column lexicographic walk as
+// BM_HighLevelCI, packed once. BM_BatchedCIWalk keeps the memo warm from
+// a walk before timing, so a test only assembles its 2^l quads from memo
+// hits: the cost of key building and lookups. BM_BatchedCIWalkCold drops
+// the memo before each walk, so the walk pays its word passes too.
+void run_batched_walk(benchmark::State& bench_state, bool warm) {
+  const auto level = static_cast<std::size_t>(bench_state.range(0));
+  const preprocess::StateSeries& series = contextact_series();
+  std::vector<stats::PackedColumn> packed;  // [0] = y, [1] = x, then pool
+  packed.emplace_back(series.lagged_column(2, 0, 1));
+  packed.emplace_back(series.lagged_column(3, 1, 1));
+  for (telemetry::DeviceId d = 4; d < 4 + kHighLevelPool; ++d) {
+    packed.emplace_back(series.lagged_column(d, 1, 1));
+  }
+  stats::BatchCiContext batch({packed.data(), packed.size()}, 0);
+  std::vector<std::size_t> subset(level);
+  std::vector<stats::ColumnId> z(level);
+  const auto walk = [&] {
+    std::size_t tests = 0;
+    for (std::size_t i = 0; i < level; ++i) subset[i] = i;
+    while (true) {
+      for (std::size_t i = 0; i < level; ++i) {
+        z[i] = static_cast<stats::ColumnId>(2 + subset[i]);
+      }
+      benchmark::DoNotOptimize(stats::g_square_test(batch, 1, z, {}));
+      ++tests;
+      std::size_t i = level;
+      while (i > 0 && subset[i - 1] == i - 1 + kHighLevelPool - level) --i;
+      if (i == 0) break;
+      ++subset[i - 1];
+      for (std::size_t j = i; j < level; ++j) subset[j] = subset[j - 1] + 1;
+    }
+    return tests;
+  };
+  if (warm) walk();
+  std::size_t tests = 0;
+  for (auto _ : bench_state) {
+    if (!warm) batch.reset_cache();
+    tests = walk();
+  }
+  bench_state.counters["ci_tests"] = static_cast<double>(tests);
+  bench_state.counters["memo_bytes"] =
+      static_cast<double>(batch.resident_bytes());
+  bench_state.SetItemsProcessed(
+      static_cast<std::int64_t>(bench_state.iterations()) *
+      static_cast<std::int64_t>(tests));
+}
+
+void BM_BatchedCIWalk(benchmark::State& bench_state) {
+  run_batched_walk(bench_state, true);
+}
+BENCHMARK(BM_BatchedCIWalk)->DenseRange(4, 6)->Unit(benchmark::kMillisecond);
+
+void BM_BatchedCIWalkCold(benchmark::State& bench_state) {
+  run_batched_walk(bench_state, false);
+}
+BENCHMARK(BM_BatchedCIWalkCold)
+    ->DenseRange(4, 6)
+    ->Unit(benchmark::kMillisecond);
+
 // Full training pass with span tracing on: the per-stage counters are the
 // tracer's aggregated span totals divided by iteration count, so
 // BENCH_mining.json records where training time goes (mine vs CPT vs

@@ -100,6 +100,9 @@ struct ChildCost {
   double seconds = 0.0;
   /// One entry per level the run reached, indexed by conditioning size.
   std::vector<LevelCost> levels;
+  /// Bytes the run's batched-CI memo held at its end
+  /// (stats::BatchCiContext::resident_bytes); 0 without batching.
+  std::size_t memo_bytes = 0;
 };
 
 struct MiningDiagnostics {

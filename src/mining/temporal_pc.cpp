@@ -490,7 +490,10 @@ std::vector<graph::LaggedNode> discover_causes_cached(
     cost.levels.push_back(level);
     ++l;
   }
-  if (batch.has_value()) tally.batch_passes = batch->pass_count();
+  if (batch.has_value()) {
+    tally.batch_passes = batch->pass_count();
+    cost.memo_bytes = batch->resident_bytes();
+  }
   tally.flush(metrics_for(config), cost.levels);
   if (diagnostics != nullptr) {
     diagnostics->tests_run += cost.tests;

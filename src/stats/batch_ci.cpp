@@ -1,6 +1,8 @@
 #include "causaliot/stats/batch_ci.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "causaliot/util/check.hpp"
 #include "ci_from_counts.hpp"
@@ -13,10 +15,21 @@ namespace causaliot::stats {
 // pairs to hide the popcount latency chain, few enough to stay in
 // registers on every backend.
 
+namespace {
+
+// Largest universe a memo key can address: ids are stored as id + 1 in
+// 16 bits, and 0 marks an unused key slot.
+constexpr std::size_t kMaxUniverse = 0xFFFF;
+
+}  // namespace
+
 BatchCiContext::BatchCiContext(std::span<const PackedColumn> universe,
                                ColumnId y)
     : universe_(universe), y_(y) {
+  static_assert(kMaxSetSize <= 8, "a memo key holds at most eight ids");
   CAUSALIOT_CHECK_MSG(!universe.empty(), "empty column universe");
+  CAUSALIOT_CHECK_MSG(universe.size() < kMaxUniverse,
+                      "column universe too large for the memo key");
   CAUSALIOT_CHECK_MSG(y < universe.size(), "y column out of range");
   n_ = universe[y].size();
   padded_words_ = universe_[y].padded_words().size();
@@ -25,6 +38,7 @@ BatchCiContext::BatchCiContext(std::span<const PackedColumn> universe,
   }
   singles_.resize(universe_.size());
   pairs_.resize(universe_.size());
+  slots_.resize(kMinSlots);
   const std::uint64_t* y_words = universe_[y_].padded_words().data();
   p_y_ = simd::kernels().and_popcount(y_words, y_words, padded_words_);
   passes_ = 1;
@@ -33,18 +47,71 @@ BatchCiContext::BatchCiContext(std::span<const PackedColumn> universe,
 void BatchCiContext::reset_cache() {
   std::fill(singles_.begin(), singles_.end(), Entry{});
   std::fill(pairs_.begin(), pairs_.end(), nullptr);
-  higher_.clear();
+  pair_rows_ = 0;
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  chunks_.clear();
+  higher_count_ = 0;
+  mask_bytes_ = 0;
+  have_last_ = false;
 }
 
-BatchCiContext::Entry& BatchCiContext::locate(std::span<const ColumnId> ids) {
-  if (ids.size() == 1) return singles_[ids[0]];
-  if (ids.size() == 2) {
-    auto& row = pairs_[ids[0]];
-    if (!row) row = std::make_unique<std::vector<Entry>>(universe_.size());
-    return (*row)[ids[1]];
+std::size_t BatchCiContext::resident_bytes() const {
+  return sizeof(*this) + singles_.capacity() * sizeof(Entry) +
+         pairs_.capacity() * sizeof(pairs_[0]) +
+         pair_rows_ * (sizeof(std::vector<Entry>) +
+                       universe_.size() * sizeof(Entry)) +
+         slots_.capacity() * sizeof(Slot) +
+         chunks_.capacity() * sizeof(chunks_[0]) +
+         chunks_.size() * kEntryChunk * sizeof(Entry) + mask_bytes_ +
+         table_.capacity() * sizeof(std::uint64_t) +
+         pending_.capacity() * sizeof(ColumnId);
+}
+
+BatchCiContext::Entry& BatchCiContext::locate(const Key& key,
+                                              std::size_t size) {
+  if (size == 1) return singles_[key.id(0)];
+  if (size == 2) {
+    auto& row = pairs_[key.id(0)];
+    if (!row) {
+      row = std::make_unique<std::vector<Entry>>(universe_.size());
+      ++pair_rows_;
+    }
+    return (*row)[key.id(1)];
   }
-  key_.assign(ids.begin(), ids.end());
-  return higher_[key_];
+  return locate_higher(key);
+}
+
+std::size_t BatchCiContext::probe(const Key& key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::uint64_t h =
+      (key.words[0] ^ (key.words[1] * 0x9E3779B97F4A7C15ULL)) *
+      0xBF58476D1CE4E5B9ULL;
+  std::size_t i = static_cast<std::size_t>(h ^ (h >> 31)) & mask;
+  while (slots_[i].entry != nullptr && !(slots_[i].key == key)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+BatchCiContext::Entry& BatchCiContext::locate_higher(const Key& key) {
+  std::size_t i = probe(key);
+  if (slots_[i].entry != nullptr) return *slots_[i].entry;
+  if ((higher_count_ + 1) * 2 > slots_.size()) {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.entry != nullptr) slots_[probe(slot.key)] = slot;
+    }
+    i = probe(key);
+  }
+  if (higher_count_ == chunks_.size() * kEntryChunk) {
+    chunks_.push_back(std::make_unique<Entry[]>(kEntryChunk));
+  }
+  Entry* entry =
+      &chunks_[higher_count_ / kEntryChunk][higher_count_ % kEntryChunk];
+  ++higher_count_;
+  slots_[i] = Slot{key, entry};
+  return *entry;
 }
 
 void BatchCiContext::fill_single(ColumnId id, Entry& entry) {
@@ -63,6 +130,7 @@ void BatchCiContext::fill_from_mask(std::span<const std::uint64_t> prefix_mask,
   const std::uint64_t* y_words = universe_[y_].padded_words().data();
   if (store_mask && entry.mask.size() != padded_words_) {
     entry.mask = AlignedWords(padded_words_);
+    mask_bytes_ += entry.mask.size() * sizeof(std::uint64_t);
   }
   simd::kernels().masked_pass(prefix_mask.data(), last_words, y_words,
                               store_mask ? entry.mask.data() : nullptr,
@@ -71,41 +139,34 @@ void BatchCiContext::fill_from_mask(std::span<const std::uint64_t> prefix_mask,
   ++passes_;
 }
 
-const BatchCiContext::Entry& BatchCiContext::ensure_counts(
-    std::span<const ColumnId> ids) {
-  if (ids.size() == 1) {
-    Entry& entry = singles_[ids[0]];
-    if (entry.state == 0) fill_single(ids[0], entry);
-    return entry;
+// Both recursions peel the largest id: a set's prefix is its key with the
+// last slot cleared. Entries never move, so `entry` stays valid while the
+// prefix recursion inserts.
+const BatchCiContext::Entry& BatchCiContext::ensure_counts(const Key& key,
+                                                           std::size_t size) {
+  Entry& entry = locate(key, size);
+  if (entry.state != 0) return entry;
+  const ColumnId last = key.id(size - 1);
+  if (size == 1) {
+    fill_single(last, entry);
+  } else {
+    fill_from_mask(ensure_mask(key.without(size - 1), size - 1),
+                   universe_[last].padded_words().data(), entry,
+                   /*store_mask=*/false);
   }
-  // Build the prefix mask before locating the target: ensure_mask may
-  // insert into the containers locate reads from.
-  std::span<const std::uint64_t> prefix_mask;
-  {
-    Entry& entry = locate(ids);
-    if (entry.state != 0) return entry;
-  }
-  prefix_mask = ensure_mask(ids.first(ids.size() - 1));
-  Entry& entry = locate(ids);
-  fill_from_mask(prefix_mask, universe_[ids.back()].padded_words().data(),
-                 entry,
-                 /*store_mask=*/false);
   return entry;
 }
 
-std::span<const std::uint64_t> BatchCiContext::ensure_mask(
-    std::span<const ColumnId> ids) {
-  if (ids.size() == 1) return universe_[ids[0]].padded_words();
-  {
-    Entry& entry = locate(ids);
-    if (entry.state == 2) return {entry.mask.data(), entry.mask.size()};
+std::span<const std::uint64_t> BatchCiContext::ensure_mask(const Key& key,
+                                                           std::size_t size) {
+  const ColumnId last = key.id(size - 1);
+  if (size == 1) return universe_[last].padded_words();
+  Entry& entry = locate(key, size);
+  if (entry.state != 2) {
+    fill_from_mask(ensure_mask(key.without(size - 1), size - 1),
+                   universe_[last].padded_words().data(), entry,
+                   /*store_mask=*/true);
   }
-  const std::span<const std::uint64_t> prefix_mask =
-      ensure_mask(ids.first(ids.size() - 1));
-  Entry& entry = locate(ids);
-  fill_from_mask(prefix_mask, universe_[ids.back()].padded_words().data(),
-                 entry,
-                 /*store_mask=*/true);
   return {entry.mask.data(), entry.mask.size()};
 }
 
@@ -147,60 +208,104 @@ std::span<const std::uint64_t> BatchCiContext::count_strata(
     CAUSALIOT_CHECK_MSG(id != x, "conditioning set contains x");
   }
 
+  // Sort z once; rank[j] is the sorted position of z[j]. Stratum keys keep
+  // following the given order (key bit j = z[j]).
+  std::array<ColumnId, kPackedConditioningLimit> sorted{};
+  std::array<std::uint8_t, kPackedConditioningLimit> order{};
+  for (std::size_t j = 0; j < l; ++j) {
+    std::size_t k = j;
+    for (; k > 0 && sorted[k - 1] > z[j]; --k) {
+      sorted[k] = sorted[k - 1];
+      order[k] = order[k - 1];
+    }
+    sorted[k] = z[j];
+    order[k] = static_cast<std::uint8_t>(j);
+  }
+  std::array<std::uint8_t, kPackedConditioningLimit> rank{};
+  for (std::size_t k = 0; k < l; ++k) {
+    CAUSALIOT_CHECK_MSG(k == 0 || sorted[k - 1] != sorted[k],
+                        "duplicate conditioning column");
+    rank[order[k]] = static_cast<std::uint8_t>(k);
+  }
+
+  // Terms over the sorted prefix this call shares with the previous one
+  // (same x) keep their keys and quads: they are memo hits, so skipping
+  // them changes no pass and no entry.
+  std::size_t kept_terms = 0;
+  if (have_last_ && x == last_x_) {
+    std::size_t shared = 0;
+    while (shared < std::min(l, last_size_) &&
+           sorted[shared] == last_sorted_[shared]) {
+      ++shared;
+    }
+    kept_terms = std::size_t{1} << shared;
+  }
+
   const std::size_t stratum_count = std::size_t{1} << l;
   table_.resize(stratum_count * 4);
 
   // Superset pass: table_[t] gets the quad of lattice term T =
   // {z[j] : bit j of t}, expressed as 2x2 cells of (x, y) within the rows
-  // where all of T is 1. Unsigned wrap-around in the subtractions is
-  // fine — every final cell is an exact non-negative count.
+  // where all of T is 1. Terms are counted in t order. Term t sits in
+  // terms_[s], s being the mask of its sorted positions; its keys extend
+  // those of s minus its highest position, which came earlier. Unsigned
+  // wrap-around in the subtractions is fine — every final cell is an
+  // exact non-negative count.
+  std::array<std::uint8_t, kMaxTerms> sorted_mask{};
   for (std::size_t t = 0; t < stratum_count; ++t) {
-    std::uint64_t p_t;
-    std::uint64_t p_ty;
-    std::uint64_t p_tx;
-    std::uint64_t p_txy;
-    if (t == 0) {
-      const ColumnId x_ids[1] = {x};
-      const Entry& ex = ensure_counts(x_ids);
-      p_t = n_;
-      p_ty = p_y_;
-      p_tx = ex.p;
-      p_txy = ex.p_y;
-    } else {
-      t_ids_.clear();
-      for (std::size_t j = 0; j < l; ++j) {
-        if ((t >> j & 1U) != 0) t_ids_.push_back(z[j]);
-      }
-      std::sort(t_ids_.begin(), t_ids_.end());
-      CAUSALIOT_CHECK_MSG(
-          std::adjacent_find(t_ids_.begin(), t_ids_.end()) == t_ids_.end(),
-          "duplicate conditioning column");
-      u_ids_.assign(t_ids_.begin(), t_ids_.end());
-      u_ids_.insert(std::upper_bound(u_ids_.begin(), u_ids_.end(), x), x);
-      const Entry& et = ensure_counts(t_ids_);
-      const Entry& eu = ensure_counts(u_ids_);
-      p_t = et.p;
-      p_ty = et.p_y;
-      p_tx = eu.p;
-      p_txy = eu.p_y;
+    std::size_t s = 0;
+    if (t != 0) {
+      const auto low = static_cast<std::size_t>(std::countr_zero(t));
+      s = sorted_mask[t & (t - 1)] | std::size_t{1} << rank[low];
+      sorted_mask[t] = static_cast<std::uint8_t>(s);
     }
-    const std::uint64_t c01 = p_ty - p_txy;
-    table_[t * 4 + 0] = (p_t - p_tx) - c01;
+    Term& term = terms_[s];
+    if (s >= kept_terms) {
+      if (s == 0) {
+        term.t = Key{};
+        term.u = Key{}.with(0, x);
+        const Entry& ex = ensure_counts(term.u, 1);
+        term.quad[0] = n_;
+        term.quad[1] = p_y_;
+        term.quad[2] = ex.p;
+        term.quad[3] = ex.p_y;
+      } else {
+        const auto high = static_cast<std::size_t>(std::bit_width(s)) - 1;
+        const Term& base = terms_[s ^ (std::size_t{1} << high)];
+        const auto size = static_cast<std::size_t>(std::popcount(s));
+        const ColumnId id = sorted[high];
+        term.t = base.t.with(size - 1, id);
+        term.u = id < x ? term.t.with(size, x) : base.u.with(size, id);
+        const Entry& et = ensure_counts(term.t, size);
+        const Entry& eu = ensure_counts(term.u, size + 1);
+        term.quad[0] = et.p;
+        term.quad[1] = et.p_y;
+        term.quad[2] = eu.p;
+        term.quad[3] = eu.p_y;
+      }
+    }
+    const std::uint64_t c01 = term.quad[1] - term.quad[3];
+    table_[t * 4 + 0] = (term.quad[0] - term.quad[2]) - c01;
     table_[t * 4 + 1] = c01;
-    table_[t * 4 + 2] = p_tx - p_txy;
-    table_[t * 4 + 3] = p_txy;
+    table_[t * 4 + 2] = term.quad[2] - term.quad[3];
+    table_[t * 4 + 3] = term.quad[3];
   }
+  std::copy(sorted.begin(), sorted.end(), last_sorted_.begin());
+  last_size_ = l;
+  last_x_ = x;
+  have_last_ = true;
 
   // Möbius inversion over the lattice turns superset quads into exact
   // per-stratum counts in place: after processing bit j, table_[t] counts
   // rows matching T on every processed coordinate instead of dominating
-  // it.
+  // it. The cells of term t | (1 << j) sit `half` words past those of
+  // term t, so each pass is runs of contiguous subtractions.
+  std::uint64_t* cells = table_.data();
   for (std::size_t j = 0; j < l; ++j) {
-    const std::size_t bit = std::size_t{1} << j;
-    for (std::size_t t = 0; t < stratum_count; ++t) {
-      if ((t & bit) != 0) continue;
-      for (std::size_t c = 0; c < 4; ++c) {
-        table_[t * 4 + c] -= table_[(t | bit) * 4 + c];
+    const std::size_t half = std::size_t{4} << j;
+    for (std::size_t block = 0; block < stratum_count * 4; block += 2 * half) {
+      for (std::size_t i = block; i < block + half; ++i) {
+        cells[i] -= cells[i + half];
       }
     }
   }

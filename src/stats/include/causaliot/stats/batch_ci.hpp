@@ -25,15 +25,25 @@
 //     accumulator pair per parent live while the y column loads are
 //     shared.
 //
+// The memo has three tiers: a flat array for single columns, lazily
+// allocated rows for pairs, and an open-addressing table above. A set's
+// key is its ids in ascending order, each stored as id + 1 in 16 bits of
+// two words, so a set's prefix (the set minus its largest id) is its key
+// with the last id cleared. count_strata builds each lattice term's keys
+// in O(1) from the term minus its largest id, and keeps the previous
+// call's quads: when x repeats and the sorted z shares a prefix with the
+// previous z, the terms over that prefix are not looked up again. The
+// miner's lexicographic walk mostly changes only the last id.
+//
 // One context per (child, worker): it binds y once and is not
 // thread-safe. Memoization spans levels, so a context must live for a
 // whole Algorithm 1 run to realize the cross-level sharing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "causaliot/stats/ci_context.hpp"
@@ -49,7 +59,8 @@ class BatchCiContext {
  public:
   /// Binds to a shared universe of equally-sized packed columns and the
   /// outcome column y (the miner's present-time child). The universe must
-  /// outlive the context.
+  /// outlive the context and hold fewer than 65,535 columns (the memo key
+  /// stores each id + 1 in 16 bits).
   BatchCiContext(std::span<const PackedColumn> universe, ColumnId y);
 
   std::size_t sample_count() const { return n_; }
@@ -78,6 +89,10 @@ class BatchCiContext {
   /// measuring cold batches).
   void reset_cache();
 
+  /// Bytes the context holds: its own object, the memo tiers, the stored
+  /// masks and the scratch buffers.
+  std::size_t resident_bytes() const;
+
  private:
   // Memoized intersection of one column set S: p = P(S),
   // p_y = P(S ∪ {y}); mask holds the AND of S's columns once the set has
@@ -92,19 +107,57 @@ class BatchCiContext {
     std::uint64_t p_y = 0;
     AlignedWords mask;
   };
-  struct KeyHash {
-    std::size_t operator()(const std::vector<ColumnId>& key) const noexcept {
-      std::size_t h = 1469598103934665603ULL;
-      for (const ColumnId id : key) {
-        h = (h ^ id) * 1099511628211ULL;
-      }
-      return h;
+  // A column set of up to kMaxSetSize ids: slot i (ascending id order)
+  // holds id + 1 in bits 16 * (i % 4) of word i / 4; unused slots are 0.
+  struct Key {
+    std::uint64_t words[2] = {0, 0};
+
+    ColumnId id(std::size_t slot) const {
+      return static_cast<ColumnId>(
+          ((words[slot / 4] >> shift(slot)) & 0xFFFF) - 1);
+    }
+    Key with(std::size_t slot, ColumnId id) const {
+      Key key = *this;
+      key.words[slot / 4] |= (std::uint64_t{id} + 1) << shift(slot);
+      return key;
+    }
+    Key without(std::size_t slot) const {
+      Key key = *this;
+      key.words[slot / 4] &= ~(std::uint64_t{0xFFFF} << shift(slot));
+      return key;
+    }
+    bool operator==(const Key&) const = default;
+    static unsigned shift(std::size_t slot) {
+      return static_cast<unsigned>(slot % 4 * 16);
     }
   };
+  // One open-addressing slot; empty while entry is null.
+  struct Slot {
+    Key key;
+    Entry* entry = nullptr;
+  };
+  // One lattice term T of the last count_strata call, indexed by the
+  // sorted positions of T's ids in z: the keys of T and T ∪ {x}, and
+  // its quad (P(T), P(T∪{y}), P(T∪{x}), P(T∪{x,y})).
+  struct Term {
+    Key t;
+    Key u;
+    std::uint64_t quad[4] = {0, 0, 0, 0};
+  };
 
-  Entry& locate(std::span<const ColumnId> ids);
-  const Entry& ensure_counts(std::span<const ColumnId> ids);
-  std::span<const std::uint64_t> ensure_mask(std::span<const ColumnId> ids);
+  static constexpr std::size_t kMaxSetSize = kPackedConditioningLimit + 1;
+  static constexpr std::size_t kMaxTerms = std::size_t{1}
+                                           << kPackedConditioningLimit;
+  static constexpr std::size_t kEntryChunk = 256;
+  static constexpr std::size_t kMinSlots = 64;
+
+  Entry& locate(const Key& key, std::size_t size);
+  // The slot holding `key`, or the empty slot where it would go.
+  std::size_t probe(const Key& key) const;
+  Entry& locate_higher(const Key& key);
+  const Entry& ensure_counts(const Key& key, std::size_t size);
+  std::span<const std::uint64_t> ensure_mask(const Key& key,
+                                             std::size_t size);
   void fill_single(ColumnId id, Entry& entry);
   void fill_from_mask(std::span<const std::uint64_t> prefix_mask,
                       const std::uint64_t* last_words, Entry& entry,
@@ -120,13 +173,24 @@ class BatchCiContext {
   std::vector<Entry> singles_;  // by column id
   // |S| == 2, indexed [min][max]; rows allocated on first use.
   std::vector<std::unique_ptr<std::vector<Entry>>> pairs_;
-  std::unordered_map<std::vector<ColumnId>, Entry, KeyHash> higher_;
+  std::size_t pair_rows_ = 0;
+  // |S| >= 3: power-of-two linear-probing table, grown at half load. The
+  // entries live in fixed-size chunks so their addresses survive growth
+  // (count_strata holds one entry while it fills another).
+  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  std::size_t higher_count_ = 0;
+  std::size_t mask_bytes_ = 0;  // stored masks over every tier
 
-  std::vector<std::uint64_t> table_;      // assembled stratum-major counts
-  std::vector<ColumnId> t_ids_;           // scratch: ids of the lattice term
-  std::vector<ColumnId> u_ids_;           // scratch: term ids ∪ {x}
-  std::vector<ColumnId> key_;             // scratch: map lookup key
-  std::vector<ColumnId> pending_;         // scratch: prepare_marginals
+  // The previous count_strata call, for quad reuse.
+  std::array<Term, kMaxTerms> terms_;
+  std::array<ColumnId, kPackedConditioningLimit> last_sorted_{};
+  std::size_t last_size_ = 0;
+  ColumnId last_x_ = 0;
+  bool have_last_ = false;
+
+  std::vector<std::uint64_t> table_;  // assembled stratum-major counts
+  std::vector<ColumnId> pending_;     // scratch: prepare_marginals
 };
 
 /// Batched equivalent of the packed-kernel g_square_test: bit-identical

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -551,6 +552,165 @@ TEST(BatchCi, EmptyUniverseRejectedAndZeroSamplesShortCircuit) {
   EXPECT_EQ(g.p_value, 1.0);
   const CmhResult m = cmh_test(batch, 1, {});
   EXPECT_EQ(m.sample_count, 0u);
+}
+
+// The memo's word-pass accounting, spelled out on sorted id vectors: a
+// level-l test counts {x}, then T and T ∪ {x} for every nonempty T ⊆ Z
+// in the order of the stratum key; a set is counted by one pass over its
+// prefix's mask, and a mask is built (one pass) on its first use as a
+// prefix, even when the set's counts are already known. pass_count must
+// follow it exactly whatever the context does to find its entries.
+class MemoPassModel {
+ public:
+  std::size_t passes = 1;  // the constructor's P(y) pass
+
+  void test(ColumnId x, const std::vector<ColumnId>& z) {
+    counts({x});
+    for (std::size_t t = 1; t < (std::size_t{1} << z.size()); ++t) {
+      std::vector<ColumnId> term;
+      for (std::size_t j = 0; j < z.size(); ++j) {
+        if ((t >> j & 1U) != 0) term.push_back(z[j]);
+      }
+      std::sort(term.begin(), term.end());
+      counts(term);
+      term.insert(std::upper_bound(term.begin(), term.end(), x), x);
+      counts(term);
+    }
+  }
+  void reset() { state_.clear(); }
+
+ private:
+  void counts(const std::vector<ColumnId>& set) {
+    if (state_[set] != 0) return;
+    if (set.size() > 1) mask({set.begin(), set.end() - 1});
+    ++passes;
+    state_[set] = 1;
+  }
+  void mask(const std::vector<ColumnId>& set) {
+    if (set.size() == 1 || state_[set] == 2) return;
+    mask({set.begin(), set.end() - 1});
+    ++passes;
+    state_[set] = 2;
+  }
+  std::map<std::vector<ColumnId>, int> state_;  // 1 counts, 2 counts + mask
+};
+
+// The memo along a seeded walk the way the miner drives it, plus the
+// moves the miner never makes: lexicographic steps (a repeated prefix
+// with a new last id), jumps to a random level and subset, a new x, z in
+// shuffled order, and reset_cache part-way. The 300-column universe puts
+// ids past 255, and sets of five or more ids spill into the key's second
+// word. Every view must match the per-row oracle and the packed
+// per-subset kernel, and pass_count must match MemoPassModel.
+TEST(BatchCi, MemoWalkMatchesOraclesAndPassModel) {
+  util::Rng rng(83);
+  constexpr std::size_t kColumns = 300;
+  const std::size_t n = 523;
+  const std::vector<Column> columns = random_columns(kColumns, n, rng, 0.45);
+  const std::vector<PackedColumn> packed = pack_all(columns);
+  const ColumnId y = 7;
+  BatchCiContext batch({packed.data(), packed.size()}, y);
+  CiTestContext context;
+  MemoPassModel model;
+
+  // Candidate pool: ids on both sides of 255, ascending like the miner's.
+  std::vector<ColumnId> pool = {3, 90, 200, 254, 255, 256, 257, 270, 299};
+  const auto random_x = [&] {
+    while (true) {
+      const auto x = static_cast<ColumnId>(rng.uniform(kColumns));
+      if (x != y &&
+          std::find(pool.begin(), pool.end(), x) == pool.end()) {
+        return x;
+      }
+    }
+  };
+  ColumnId x = 256 + 40;
+  std::size_t level = 3;
+  std::vector<std::size_t> subset = {0, 1, 2};
+  std::size_t resets = 0;
+  std::size_t shuffled = 0;
+  for (std::size_t step = 0; step < 400; ++step) {
+    const std::uint64_t move = rng.uniform(20);
+    if (move == 0) {
+      batch.reset_cache();
+      model.reset();
+      ++resets;
+    } else if (move <= 2) {
+      x = random_x();
+    } else if (move <= 4 || next_subset(subset, pool.size()) == level) {
+      level = 3 + rng.uniform(kPackedConditioningLimit - 2);
+      subset = rng.sample_indices(pool.size(), level);
+    }
+    std::vector<ColumnId> z;
+    for (const std::size_t index : subset) z.push_back(pool[index]);
+    if (rng.uniform(4) == 0) {
+      rng.shuffle(z);
+      ++shuffled;
+    }
+
+    const std::string where = "step " + std::to_string(step);
+    const std::span<const std::uint64_t> counts = batch.count_strata(x, z);
+    const std::vector<std::uint64_t> batched(counts.begin(), counts.end());
+    model.test(x, z);
+    ASSERT_EQ(batch.pass_count(), model.passes) << where;
+
+    std::vector<std::span<const std::uint8_t>> z_raw;
+    std::vector<const PackedColumn*> z_packed;
+    for (const ColumnId id : z) {
+      z_raw.push_back(columns[id]);
+      z_packed.push_back(&packed[id]);
+    }
+    expect_matches_row_oracle({batched, {}, true}, columns[x], columns[y],
+                              z_raw, where);
+    const StratumCounts direct =
+        context.count_strata(packed[x], packed[y], z_packed);
+    ASSERT_TRUE(std::equal(batched.begin(), batched.end(),
+                           direct.counts.begin(), direct.counts.end()))
+        << where;
+  }
+  EXPECT_GT(resets, 0u);
+  EXPECT_GT(shuffled, 0u);
+}
+
+// A universe of 1-row columns as large as the memo key allows: the top
+// ids still key distinct sets.
+TEST(BatchCi, LargestUniverseKeysItsTopIds) {
+  const Column one = {1};
+  const Column zero = {0};
+  std::vector<PackedColumn> packed;
+  packed.reserve(65534);
+  for (std::size_t i = 0; i < 65534; ++i) {
+    packed.emplace_back(i % 3 == 0 ? zero : one);
+  }
+  BatchCiContext batch({packed.data(), packed.size()}, 65531);
+  const ColumnId z[3] = {65532, 65530, 65533};
+  const std::span<const std::uint64_t> counts = batch.count_strata(65527, z);
+  // Column i holds 0 when i is a multiple of 3, so the one row has
+  // x = y = 1 and z = (0, 1, 1): key 0b110, cell 3.
+  for (std::size_t key = 0; key < 8; ++key) {
+    for (std::size_t cell = 0; cell < 4; ++cell) {
+      EXPECT_EQ(counts[key * 4 + cell], key == 6 && cell == 3 ? 1u : 0u)
+          << "key " << key << " cell " << cell;
+    }
+  }
+}
+
+TEST(BatchCiDeathTest, RejectsDuplicateIdsXInZAndOversizedUniverses) {
+  util::Rng rng(89);
+  const std::vector<Column> columns = random_columns(300, 64, rng, 0.5);
+  const std::vector<PackedColumn> packed = pack_all(columns);
+  BatchCiContext batch({packed.data(), packed.size()}, 0);
+  const ColumnId duplicate[3] = {260, 5, 260};
+  EXPECT_DEATH(batch.count_strata(1, duplicate),
+               "duplicate conditioning column");
+  const ColumnId holds_x[3] = {5, 260, 7};
+  EXPECT_DEATH(batch.count_strata(260, holds_x),
+               "conditioning set contains x");
+
+  const Column one = {1};
+  const std::vector<PackedColumn> huge(65535, PackedColumn(one));
+  EXPECT_DEATH(BatchCiContext({huge.data(), huge.size()}, 0),
+               "column universe too large for the memo key");
 }
 
 }  // namespace
