@@ -51,7 +51,9 @@ struct MinerConfig {
   /// marginalization, so statistics, p-values, and the final DIG are
   /// bit-identical to the per-subset kernels. Applies at levels the
   /// packed kernel covers (l <= stats::kPackedConditioningLimit); deeper
-  /// levels fall back to the per-row kernel either way. Off = always use
+  /// levels fall back to the per-row kernel either way, and so does a
+  /// series with device_count * (max_lag + 1) >=
+  /// stats::BatchCiContext::kMaxUniverse lagged columns. Off = always use
   /// the per-subset kernels (--ci-batch=0 escape hatch).
   bool ci_batching = true;
   /// Worker threads for mine(): children are discovered in parallel (each

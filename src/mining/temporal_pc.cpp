@@ -280,9 +280,11 @@ std::vector<graph::LaggedNode> discover_causes_cached(
   // Batched CI counting: one lattice context per Algorithm 1 run, bound
   // to the child's present-time column, so intersection counts memoize
   // across every subset of a level and across levels (a level-l test
-  // reuses the quads its sub-subsets counted at levels < l).
+  // reuses the quads its sub-subsets counted at levels < l). A universe
+  // too large for the memo key counts per subset instead.
   std::optional<stats::BatchCiContext> batch;
-  if (config.ci_batching) {
+  if (config.ci_batching &&
+      cache.packed.size() < stats::BatchCiContext::kMaxUniverse) {
     batch.emplace(std::span<const stats::PackedColumn>(cache.packed),
                   static_cast<stats::ColumnId>(cache.index_of(child, 0)));
   }
@@ -346,13 +348,14 @@ std::vector<graph::LaggedNode> discover_causes_cached(
       if (!causes.contains(parent)) continue;
 
       // Candidate conditioning variables: the current causes (or, for
-      // PC-stable, the level-start causes) minus the parent.
+      // PC-stable, the level-start causes) minus the parent. Level 0
+      // conditions on nothing, so it skips the O(causes) copy per parent.
       candidates.clear();
-      if (config.stable) {
+      if (l > 0 && config.stable) {
         for (const graph::LaggedNode& c : parents_at_level) {
           if (!(c == parent)) candidates.push_back(c);
         }
-      } else {
+      } else if (l > 0) {
         causes.for_each([&](graph::LaggedNode c) {
           if (!(c == parent)) candidates.push_back(c);
         });

@@ -15,14 +15,6 @@ namespace causaliot::stats {
 // pairs to hide the popcount latency chain, few enough to stay in
 // registers on every backend.
 
-namespace {
-
-// Largest universe a memo key can address: ids are stored as id + 1 in
-// 16 bits, and 0 marks an unused key slot.
-constexpr std::size_t kMaxUniverse = 0xFFFF;
-
-}  // namespace
-
 BatchCiContext::BatchCiContext(std::span<const PackedColumn> universe,
                                ColumnId y)
     : universe_(universe), y_(y) {
@@ -52,7 +44,6 @@ void BatchCiContext::reset_cache() {
   chunks_.clear();
   higher_count_ = 0;
   mask_bytes_ = 0;
-  have_last_ = false;
 }
 
 std::size_t BatchCiContext::resident_bytes() const {
@@ -228,72 +219,52 @@ std::span<const std::uint64_t> BatchCiContext::count_strata(
     rank[order[k]] = static_cast<std::uint8_t>(k);
   }
 
-  // Terms over the sorted prefix this call shares with the previous one
-  // (same x) keep their keys and quads: they are memo hits, so skipping
-  // them changes no pass and no entry.
-  std::size_t kept_terms = 0;
-  if (have_last_ && x == last_x_) {
-    std::size_t shared = 0;
-    while (shared < std::min(l, last_size_) &&
-           sorted[shared] == last_sorted_[shared]) {
-      ++shared;
-    }
-    kept_terms = std::size_t{1} << shared;
-  }
-
   const std::size_t stratum_count = std::size_t{1} << l;
   table_.resize(stratum_count * 4);
 
-  // Superset pass: table_[t] gets the quad of lattice term T =
-  // {z[j] : bit j of t}, expressed as 2x2 cells of (x, y) within the rows
-  // where all of T is 1. Terms are counted in t order. Term t sits in
-  // terms_[s], s being the mask of its sorted positions; its keys extend
-  // those of s minus its highest position, which came earlier. Unsigned
-  // wrap-around in the subtractions is fine — every final cell is an
-  // exact non-negative count.
+  // Superset pass: table_[t] gets the quad (P(T), P(T∪{y}), P(T∪{x}),
+  // P(T∪{x,y})) of lattice term T = {z[j] : bit j of t}, expressed as 2x2
+  // cells of (x, y) within the rows where all of T is 1. Terms are counted
+  // in t order. The keys of term t sit in terms_[s], s being the mask of
+  // its sorted positions; they extend those of s minus its highest
+  // position, which came earlier. Unsigned wrap-around in the
+  // subtractions is fine — every final cell is an exact non-negative
+  // count.
   std::array<std::uint8_t, kMaxTerms> sorted_mask{};
   for (std::size_t t = 0; t < stratum_count; ++t) {
-    std::size_t s = 0;
-    if (t != 0) {
+    std::uint64_t quad[4];
+    if (t == 0) {
+      terms_[0].u = Key{}.with(0, x);
+      const Entry& ex = ensure_counts(terms_[0].u, 1);
+      quad[0] = n_;
+      quad[1] = p_y_;
+      quad[2] = ex.p;
+      quad[3] = ex.p_y;
+    } else {
       const auto low = static_cast<std::size_t>(std::countr_zero(t));
-      s = sorted_mask[t & (t - 1)] | std::size_t{1} << rank[low];
+      const std::size_t s = sorted_mask[t & (t - 1)] | std::size_t{1}
+                                                           << rank[low];
       sorted_mask[t] = static_cast<std::uint8_t>(s);
+      const auto high = static_cast<std::size_t>(std::bit_width(s)) - 1;
+      const TermKeys& base = terms_[s ^ (std::size_t{1} << high)];
+      const auto size = static_cast<std::size_t>(std::popcount(s));
+      const ColumnId id = sorted[high];
+      TermKeys& term = terms_[s];
+      term.t = base.t.with(size - 1, id);
+      term.u = id < x ? term.t.with(size, x) : base.u.with(size, id);
+      const Entry& et = ensure_counts(term.t, size);
+      const Entry& eu = ensure_counts(term.u, size + 1);
+      quad[0] = et.p;
+      quad[1] = et.p_y;
+      quad[2] = eu.p;
+      quad[3] = eu.p_y;
     }
-    Term& term = terms_[s];
-    if (s >= kept_terms) {
-      if (s == 0) {
-        term.t = Key{};
-        term.u = Key{}.with(0, x);
-        const Entry& ex = ensure_counts(term.u, 1);
-        term.quad[0] = n_;
-        term.quad[1] = p_y_;
-        term.quad[2] = ex.p;
-        term.quad[3] = ex.p_y;
-      } else {
-        const auto high = static_cast<std::size_t>(std::bit_width(s)) - 1;
-        const Term& base = terms_[s ^ (std::size_t{1} << high)];
-        const auto size = static_cast<std::size_t>(std::popcount(s));
-        const ColumnId id = sorted[high];
-        term.t = base.t.with(size - 1, id);
-        term.u = id < x ? term.t.with(size, x) : base.u.with(size, id);
-        const Entry& et = ensure_counts(term.t, size);
-        const Entry& eu = ensure_counts(term.u, size + 1);
-        term.quad[0] = et.p;
-        term.quad[1] = et.p_y;
-        term.quad[2] = eu.p;
-        term.quad[3] = eu.p_y;
-      }
-    }
-    const std::uint64_t c01 = term.quad[1] - term.quad[3];
-    table_[t * 4 + 0] = (term.quad[0] - term.quad[2]) - c01;
+    const std::uint64_t c01 = quad[1] - quad[3];
+    table_[t * 4 + 0] = (quad[0] - quad[2]) - c01;
     table_[t * 4 + 1] = c01;
-    table_[t * 4 + 2] = term.quad[2] - term.quad[3];
-    table_[t * 4 + 3] = term.quad[3];
+    table_[t * 4 + 2] = quad[2] - quad[3];
+    table_[t * 4 + 3] = quad[3];
   }
-  std::copy(sorted.begin(), sorted.end(), last_sorted_.begin());
-  last_size_ = l;
-  last_x_ = x;
-  have_last_ = true;
 
   // Möbius inversion over the lattice turns superset quads into exact
   // per-stratum counts in place: after processing bit j, table_[t] counts

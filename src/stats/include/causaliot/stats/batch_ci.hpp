@@ -30,10 +30,7 @@
 // key is its ids in ascending order, each stored as id + 1 in 16 bits of
 // two words, so a set's prefix (the set minus its largest id) is its key
 // with the last id cleared. count_strata builds each lattice term's keys
-// in O(1) from the term minus its largest id, and keeps the previous
-// call's quads: when x repeats and the sorted z shares a prefix with the
-// previous z, the terms over that prefix are not looked up again. The
-// miner's lexicographic walk mostly changes only the last id.
+// in O(1) from the term minus its largest id.
 //
 // One context per (child, worker): it binds y once and is not
 // thread-safe. Memoization spans levels, so a context must live for a
@@ -57,10 +54,13 @@ using ColumnId = std::uint32_t;
 
 class BatchCiContext {
  public:
+  /// A universe must hold fewer columns than this: the memo key stores
+  /// each id + 1 in 16 bits, and 0 marks an unused key slot.
+  static constexpr std::size_t kMaxUniverse = 0xFFFF;
+
   /// Binds to a shared universe of equally-sized packed columns and the
   /// outcome column y (the miner's present-time child). The universe must
-  /// outlive the context and hold fewer than 65,535 columns (the memo key
-  /// stores each id + 1 in 16 bits).
+  /// outlive the context and hold fewer than kMaxUniverse columns.
   BatchCiContext(std::span<const PackedColumn> universe, ColumnId y);
 
   std::size_t sample_count() const { return n_; }
@@ -136,13 +136,11 @@ class BatchCiContext {
     Key key;
     Entry* entry = nullptr;
   };
-  // One lattice term T of the last count_strata call, indexed by the
-  // sorted positions of T's ids in z: the keys of T and T ∪ {x}, and
-  // its quad (P(T), P(T∪{y}), P(T∪{x}), P(T∪{x,y})).
-  struct Term {
+  // The keys of one lattice term T of a count_strata call and of
+  // T ∪ {x}.
+  struct TermKeys {
     Key t;
     Key u;
-    std::uint64_t quad[4] = {0, 0, 0, 0};
   };
 
   static constexpr std::size_t kMaxSetSize = kPackedConditioningLimit + 1;
@@ -182,13 +180,8 @@ class BatchCiContext {
   std::size_t higher_count_ = 0;
   std::size_t mask_bytes_ = 0;  // stored masks over every tier
 
-  // The previous count_strata call, for quad reuse.
-  std::array<Term, kMaxTerms> terms_;
-  std::array<ColumnId, kPackedConditioningLimit> last_sorted_{};
-  std::size_t last_size_ = 0;
-  ColumnId last_x_ = 0;
-  bool have_last_ = false;
-
+  // Scratch: count_strata's term keys, by sorted positions in z.
+  std::array<TermKeys, kMaxTerms> terms_;
   std::vector<std::uint64_t> table_;  // assembled stratum-major counts
   std::vector<ColumnId> pending_;     // scratch: prepare_marginals
 };

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "causaliot/mining/cause_set.hpp"
+#include "causaliot/stats/batch_ci.hpp"
 #include "causaliot/stats/simd_backend.hpp"
 #include "causaliot/util/rng.hpp"
 
@@ -318,6 +319,39 @@ TEST(TemporalPC, CiBatchingOffDispatchesToPackedKernel) {
                 .value(),
             0u);
   EXPECT_EQ(registry.counter("mining_ci_batch_passes_total").value(), 0u);
+}
+
+// A series with more lagged columns than a batched-CI memo key can
+// address mines on the per-subset packed kernel even with batching on.
+TEST(TemporalPC, UniverseBeyondMemoKeyMinesPerSubset) {
+  constexpr std::size_t kDevices = 32768;  // 2 lags: 65,536 columns
+  static_assert(kDevices * 2 >= stats::BatchCiContext::kMaxUniverse);
+  util::Rng rng(41);
+  StateSeries series(kDevices, std::vector<std::uint8_t>(kDevices, 0));
+  double t = 0.0;
+  for (std::size_t i = 0; i < 200; ++i) {
+    series.apply({0, static_cast<std::uint8_t>(rng.uniform(2)), t += 1});
+    series.apply({1, series.state(0, series.length() - 1), t += 1});
+  }
+  obs::Registry registry;
+  MinerConfig config;
+  config.max_lag = 1;
+  config.metrics_registry = &registry;
+  MiningDiagnostics diagnostics;
+  const auto causes =
+      InteractionMiner(config).discover_causes(series, 1, &diagnostics);
+  EXPECT_TRUE(has_cause(causes, 0));
+  ASSERT_GT(diagnostics.tests_run, 0u);
+  const std::string backend(
+      stats::simd::backend_name(stats::simd::chosen()));
+  EXPECT_EQ(registry.counter("mining_ci_kernel_hits_total",
+                             {{"kernel", "packed"}, {"backend", backend}})
+                .value(),
+            diagnostics.tests_run);
+  EXPECT_EQ(registry.counter("mining_ci_batch_passes_total").value(), 0u);
+
+  config.ci_batching = false;
+  EXPECT_EQ(InteractionMiner(config).discover_causes(series, 1), causes);
 }
 
 // MiningDiagnostics::child_costs breaks each child's run down by level:
